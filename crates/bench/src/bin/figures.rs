@@ -637,7 +637,7 @@ fn blame_mode(args: &[String]) -> i32 {
             .requests(requests)
             .queue_capacity(queue_cap)
             .tiers(tiers);
-        let exp = kus_load::load_experiment("blame trace", spec, cfg.causal(), factory)
+        let exp = kus_load::load_experiment("blame trace", spec, cfg.causal().traced(), factory)
             .unwrap_or_else(|e| fail(format!("--trace: {e}")));
         let run = exp.run();
         let t = run.trace.as_ref().expect("traced run");

@@ -290,10 +290,17 @@ impl Executor {
     /// The host-side hook the platform wires into the device's request
     /// fetcher: delivers a completion to the waiting fiber, charging the
     /// completion-handling software cost.
+    ///
+    /// The hook holds the executor weakly. The executor owns the doorbell,
+    /// the doorbell owns the fetcher and the fetcher owns this hook, so a
+    /// strong handle here would close a cycle that leaks the whole
+    /// platform (dataset included) after every run.
     pub(crate) fn swq_completion_hook(&self) -> TagHook {
-        let inner = self.inner.clone();
+        let inner = Rc::downgrade(&self.inner);
         Rc::new(move |sim: &mut Sim, tag: u64| {
-            ExecInner::on_swq_completion(&inner, sim, tag);
+            if let Some(inner) = inner.upgrade() {
+                ExecInner::on_swq_completion(&inner, sim, tag);
+            }
         })
     }
 

@@ -109,35 +109,56 @@ pub struct LatencyBreakdown {
     pub total: SpanHistogram,
 }
 
-/// Derived observability products of a traced run: the raw event stream,
-/// its determinism hash, and metrics timelines computed in a post-pass
-/// (never fed back into the simulation).
+/// Derived observability products of a traced run: the buffered event
+/// stream, the determinism hash and count of the whole emitted stream, and
+/// metrics timelines computed in a post-pass (never fed back into the
+/// simulation).
+///
+/// A run buffers every category when its configuration asks for a trace
+/// or a profile, and otherwise only the categories its workload
+/// [subscribes](crate::Workload::subscribes) to. `hash` and `count` cover
+/// every emitted event either way, so `count` may exceed `events.len()`,
+/// and the timelines below are empty when their category was not
+/// buffered.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// The full event stream, in emission order.
+    /// The buffered events, in emission order: the whole stream, or the
+    /// subscribed categories of it.
     pub events: Vec<TraceEvent>,
-    /// Running FNV-1a hash of the canonical encoding — the determinism
-    /// fingerprint compared by `tests/determinism.rs` and CI.
+    /// Running FNV-1a hash of the canonical encoding of every emitted
+    /// event — the determinism fingerprint compared by
+    /// `tests/determinism.rs` and CI.
     pub hash: u64,
-    /// Events emitted.
+    /// Events emitted, buffered or not.
     pub count: u64,
-    /// Core 0's LFB occupancy over time (from `lfb.alloc`/`lfb.fill`).
+    /// Core 0's LFB occupancy over time (from `lfb.alloc`/`lfb.fill`);
+    /// empty unless [`Category::Mem`] is buffered.
     pub lfb_occupancy: OccupancyTimeline,
     /// Core 0's SWQ request-ring depth over time (from
-    /// `swq.enqueue`/`swq.fetch`); empty outside software-queue runs.
+    /// `swq.enqueue`/`swq.fetch`); empty outside software-queue runs and
+    /// unless [`Category::Swq`] is buffered.
     pub ring_occupancy: OccupancyTimeline,
-    /// SWQ per-request latency decomposition; empty outside SWQ runs.
+    /// SWQ per-request latency decomposition; empty outside SWQ runs and
+    /// unless [`Category::Swq`] is buffered.
     pub latency: LatencyBreakdown,
 }
 
 impl TraceReport {
-    /// Builds the report from a finished run's event stream.
+    /// Builds the report from a whole event stream, recomputing its hash
+    /// and count.
     ///
     /// `end` is the simulation end time, used to close the occupancy
     /// timelines' final interval.
     pub fn build(events: Vec<TraceEvent>, end: Time) -> TraceReport {
         let hash = kus_sim::trace::hash_events(&events);
         let count = events.len() as u64;
+        TraceReport::from_stream(events, hash, count, end)
+    }
+
+    /// Builds the report from a tracer's buffered events and the running
+    /// `hash` and `count` of everything it emitted, with no second pass
+    /// over the stream.
+    pub(crate) fn from_stream(events: Vec<TraceEvent>, hash: u64, count: u64, end: Time) -> TraceReport {
         let lfb_occupancy = OccupancyTimeline::from_samples(
             events
                 .iter()

@@ -29,7 +29,7 @@ use kus_mem::{Backing, LINE_BYTES};
 use kus_pcie::dma::DmaEngine;
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
-use kus_sim::{FaultInjector, Sim, SimRng, Tracer};
+use kus_sim::{Categories, FaultInjector, Sim, SimRng, Tracer};
 use kus_swq::ring::QueuePair;
 
 use crate::config::{ConfigError, PlatformConfig};
@@ -77,8 +77,13 @@ impl Platform {
         w.build(&mut dataset);
         // Only the measured (final) phase is traced: the record phase of a
         // two-phase run is methodology scaffolding, not a measurement. The
-        // profiler needs the event stream, so profiling implies tracing.
-        let traced = self.cfg.trace || self.cfg.profile || self.cfg.causal;
+        // profiler needs the whole event stream, so profiling implies
+        // tracing everything; otherwise only what the workload's reports
+        // read is buffered (the hash and count still cover every event).
+        let full = self.cfg.trace || self.cfg.profile;
+        let subscribed = w.subscribes();
+        let traced = (full || self.cfg.causal || !subscribed.is_empty())
+            .then_some(if full { Categories::ALL } else { subscribed });
         match self.cfg.backing {
             Backing::Dram => self.run_phase(w, &dataset, Phase::Dram, traced),
             Backing::Device => {
@@ -86,7 +91,7 @@ impl Platform {
                     Rc::new(RefCell::new(AccessTrace::new(self.cfg.cores * self.cfg.smt)));
                 if self.cfg.use_replay_device {
                     let _recording =
-                        self.run_phase(w, &dataset, Phase::DeviceRecord(trace.clone()), false);
+                        self.run_phase(w, &dataset, Phase::DeviceRecord(trace.clone()), None);
                     let traces = trace.borrow().clone().into_cores();
                     self.run_phase(w, &dataset, Phase::DeviceReplay(traces), traced)
                 } else {
@@ -109,7 +114,7 @@ impl Platform {
         w: &mut dyn Workload,
         dataset: &Dataset,
         phase: Phase,
-        traced: bool,
+        traced: Option<Categories>,
     ) -> RunReport {
         let cfg = &self.cfg;
         // Pre-size the event slab for the platform's steady state: every
@@ -123,14 +128,15 @@ impl Platform {
         // The tracer observes through a shared clock handle; it never
         // schedules events or draws randomness, so a traced run's report is
         // identical to an untraced one (locked down by tests/properties.rs).
-        let tracer = if traced {
-            let t = Tracer::new(sim.now_handle());
-            t.set_verbose(cfg.trace_deep);
-            t.set_profile(cfg.profile);
-            t.set_causal(cfg.causal);
-            t
-        } else {
-            Tracer::off()
+        let tracer = match traced {
+            Some(buffered) => {
+                let t = Tracer::buffering(sim.now_handle(), buffered);
+                t.set_verbose(cfg.trace_deep);
+                t.set_profile(cfg.profile);
+                t.set_causal(cfg.causal);
+                t
+            }
+            None => Tracer::off(),
         };
 
         // One injector per phase, derived from the run seed: record and
@@ -451,8 +457,11 @@ impl Platform {
             fr
         });
 
-        let (trace, profile) = if traced {
-            let events = tracer.events();
+        let (trace, profile) = if let Some(buffered) = traced {
+            let events = tracer.take_events();
+            if buffered == Categories::ALL {
+                debug_assert_eq!(tracer.hash(), kus_sim::trace::hash_events(&events));
+            }
             // Profiled runs classify the measured window [t0, now] per
             // hardware context (sum-to-wall is asserted inside build).
             let profile = cfg.profile.then(|| {
@@ -470,7 +479,8 @@ impl Platform {
                 };
                 kus_profile::ProfileReport::build(&events, ctx)
             });
-            (Some(TraceReport::build(events, sim.now())), profile)
+            let trace = TraceReport::from_stream(events, tracer.hash(), tracer.count(), sim.now());
+            (Some(trace), profile)
         } else {
             (None, None)
         };

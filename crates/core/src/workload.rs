@@ -3,6 +3,8 @@
 use std::future::Future;
 use std::pin::Pin;
 
+use kus_sim::trace::Categories;
+
 use crate::dataset::Dataset;
 use crate::exec::MemCtx;
 
@@ -32,4 +34,13 @@ pub trait Workload {
     /// Creates the fiber body for `fiber` (of `fibers_total` on this core)
     /// on `core`.
     fn spawn(&self, core: usize, fiber: usize, fibers_total: usize, ctx: MemCtx) -> FiberFuture;
+
+    /// Trace categories this workload's reports read after a run. A
+    /// non-empty set turns the measured phase's tracer on and buffers
+    /// those categories even when the configuration asks for no trace; a
+    /// configuration that does ask (`trace` or `profile`) buffers
+    /// everything. The default subscribes to nothing.
+    fn subscribes(&self) -> Categories {
+        Categories::NONE
+    }
 }

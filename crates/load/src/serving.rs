@@ -41,6 +41,9 @@
 //! bracketing freeze windows), from which
 //! [`LoadReport::from_run`](crate::report::LoadReport::from_run)
 //! reconstructs the full latency decomposition and recovery timeline.
+//! The workload [subscribes](Workload::subscribes) to that category alone,
+//! so a serving run buffers only its `Load` events unless the platform
+//! configuration asks for a full trace.
 //!
 //! [`Category::Load`]: kus_sim::trace::Category
 
@@ -54,7 +57,7 @@ use kus_core::prelude::{
 use kus_net::{NetConfig, NetTimeline};
 use kus_sim::fault::{FaultInjector, FaultPlan};
 use kus_sim::rng::SimRng;
-use kus_sim::{Span, Time};
+use kus_sim::{Categories, Category, Span, Time};
 
 use crate::admission::{AdmissionControl, AdmissionDecision, AdmissionPolicy};
 use crate::arrival::ArrivalProcess;
@@ -438,6 +441,11 @@ impl Workload for ServingWorkload {
         self.fault_seed = data.rng("serving-faults").seed();
     }
 
+    /// The load, NIC and blame reports read only [`Category::Load`].
+    fn subscribes(&self) -> Categories {
+        Categories::only(Category::Load)
+    }
+
     fn prepare(&mut self, cores: usize, fibers_per_core: usize) {
         self.cores = cores.max(1) as u32;
         self.total_fibers = cores * fibers_per_core;
@@ -631,11 +639,13 @@ impl Workload for ServingWorkload {
     }
 }
 
-/// Builds a traced [`Experiment`] that runs `spec` against the factory's
-/// service — the bridge between the serving loop and the PR 3 sweep
-/// engine. Tracing is forced on: the load analytics are reconstructed
-/// from the event trace. Invalid specs surface as [`ConfigError`]s
-/// instead of panics.
+/// Builds an [`Experiment`] that runs `spec` against the factory's
+/// service — the bridge between the serving loop and the sweep engine.
+/// The configuration is taken as given: the workload subscribes to the
+/// [`Category::Load`] events its reports are rebuilt from, so every run
+/// carries a trace, and a full one when `cfg` asks for it (a Chrome
+/// export does). Invalid specs surface as [`ConfigError`]s instead of
+/// panics.
 pub fn load_experiment(
     label: impl Into<String>,
     spec: LoadSpec,
@@ -645,7 +655,7 @@ pub fn load_experiment(
     spec.validate().map_err(ConfigError::Fault)?;
     Experiment::from_factory(
         label,
-        cfg.traced(),
+        cfg,
         std::sync::Arc::new(move || {
             Box::new(ServingWorkload::new(spec, service())) as Box<dyn Workload + 'static>
         }),

@@ -2,8 +2,12 @@
 //!
 //! A [`Tracer`] is a cheap clonable handle that every instrumented component
 //! holds. Disabled (the default), it is a `None` and each emission costs one
-//! branch; enabled, events are appended to a shared in-memory buffer together
-//! with a running content hash.
+//! branch. Enabled, every *emitted* event is folded into a running content
+//! hash and count, straight from its fields; only events whose [`Category`]
+//! is in the tracer's [`Categories`] set are also *buffered* for the
+//! post-run reports. So [`Tracer::hash`] and [`Tracer::count`] describe the
+//! whole stream whatever is buffered, while [`Tracer::take_events`] hands
+//! over the buffered part of it.
 //!
 //! The design invariants that make traces usable as regression oracles:
 //!
@@ -13,10 +17,11 @@
 //! - **Deterministic**: events are emitted from simulation callbacks, which
 //!   the [`Sim`](crate::Sim) kernel orders deterministically; the trace of a
 //!   `(seed, config)` pair is therefore byte-stable across runs and builds.
-//! - **Hashable**: [`Tracer::hash`] folds every event into an FNV-1a-64 over
-//!   the event's canonical binary encoding, so "same behaviour" can be
-//!   asserted with a single integer while [`encode`]/[`decode`] keep the full
-//!   stream inspectable when a hash test fails.
+//! - **Hashable**: [`Tracer::hash`] folds every emitted event into an
+//!   FNV-1a-64 over the event's canonical binary encoding, so "same
+//!   behaviour" can be asserted with a single integer while
+//!   [`encode`]/[`decode`] keep a fully buffered stream inspectable when a
+//!   hash test fails.
 //!
 //! Two exporters: [`chrome_json`] renders the Chrome `trace_event` format for
 //! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev), and [`encode`]
@@ -26,9 +31,12 @@
 //! ([`Sim::now_handle`](crate::Sim::now_handle)), so components can emit
 //! without a `&Sim` in scope.
 //!
-//! With the `trace` cargo feature disabled (the default), the deep per-access
-//! event class is compiled out: [`Tracer::set_verbose`] is a no-op and
-//! [`Tracer::is_verbose`] is always false.
+//! Besides the always-on classes, two runtime-gated classes extend the
+//! stream (and so its hash) when switched on: cycle accounting
+//! ([`Tracer::set_profile`]) and causal spans ([`Tracer::set_causal`]).
+//! With the `trace` cargo feature disabled (the default), the deep
+//! per-access event class is compiled out: [`Tracer::set_verbose`] is a
+//! no-op and [`Tracer::is_verbose`] is always false.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -92,6 +100,33 @@ impl Category {
             Category::Load => "load",
             Category::Cpu => "cpu",
         }
+    }
+}
+
+/// A set of [`Category`]s: which events a tracer buffers, or which a
+/// consumer reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Categories(u16);
+
+impl Categories {
+    /// The empty set.
+    pub const NONE: Categories = Categories(0);
+    /// Every category.
+    pub const ALL: Categories = Categories(u16::MAX);
+
+    /// The set holding only `cat`.
+    pub const fn only(cat: Category) -> Categories {
+        Categories(1 << cat as u8)
+    }
+
+    /// Whether `cat` is in the set.
+    pub const fn contains(self, cat: Category) -> bool {
+        self.0 & (1 << cat as u8) != 0
+    }
+
+    /// Whether the set is empty.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
     }
 }
 
@@ -220,19 +255,23 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serializes one event into the canonical byte form the content hash is
-/// defined over (also the per-event record of the binary log).
-fn event_bytes(at: Time, cat: Category, name: &str, phase: Phase, track: u32, a0: u64, a1: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + name.len());
-    out.extend_from_slice(&at.as_ps().to_le_bytes());
-    out.push(cat as u8);
-    out.push(phase as u8);
-    out.extend_from_slice(&track.to_le_bytes());
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(&a0.to_le_bytes());
-    out.extend_from_slice(&a1.to_le_bytes());
-    out
+/// Feeds one event's canonical byte form, field by field, to `sink`: the
+/// bytes the content hash is defined over and the per-event record of the
+/// binary log. The one definition of the layout for both.
+fn write_record(e: &TraceEvent, mut sink: impl FnMut(&[u8])) {
+    sink(&e.at.as_ps().to_le_bytes());
+    sink(&[e.cat as u8, e.phase as u8]);
+    sink(&e.track.to_le_bytes());
+    sink(&(e.name.len() as u16).to_le_bytes());
+    sink(e.name.as_bytes());
+    sink(&e.a0.to_le_bytes());
+    sink(&e.a1.to_le_bytes());
+}
+
+/// Folds one event into a running content hash, with no allocation.
+fn fold_event(mut hash: u64, e: &TraceEvent) -> u64 {
+    write_record(e, |bytes| hash = fnv1a(hash, bytes));
+    hash
 }
 
 struct TraceState {
@@ -244,6 +283,9 @@ struct TraceState {
 struct TracerInner {
     clock: Rc<Cell<Time>>,
     state: RefCell<TraceState>,
+    /// Categories whose events are kept in `state.events`; every emitted
+    /// event is hashed and counted regardless.
+    buffered: Categories,
     /// Cycle-accounting event class ([`Category::Cpu`] spans, occupancy
     /// counters). A *runtime* gate, unlike `verbose`: profiling changes the
     /// event stream (and so the hash), so it is opt-in per run and off for
@@ -286,12 +328,21 @@ impl Tracer {
     }
 
     /// An enabled tracer timestamping from `clock` (obtain one via
-    /// [`Sim::now_handle`](crate::Sim::now_handle)).
+    /// [`Sim::now_handle`](crate::Sim::now_handle)) that buffers every
+    /// event.
     pub fn new(clock: Rc<Cell<Time>>) -> Tracer {
+        Tracer::buffering(clock, Categories::ALL)
+    }
+
+    /// An enabled tracer that hashes and counts every event but buffers
+    /// only those in `buffered`. The hash and count are those of
+    /// [`Tracer::new`] on the same stream.
+    pub fn buffering(clock: Rc<Cell<Time>>, buffered: Categories) -> Tracer {
         Tracer {
             inner: Some(Rc::new(TracerInner {
                 clock,
                 state: RefCell::new(TraceState { hash: FNV_OFFSET, count: 0, events: Vec::new() }),
+                buffered,
                 profile: Cell::new(false),
                 causal: Cell::new(false),
                 #[cfg(feature = "trace")]
@@ -369,10 +420,7 @@ impl Tracer {
     pub fn emit(&self, cat: Category, name: &'static str, phase: Phase, track: u32, a0: u64, a1: u64) {
         let Some(inner) = &self.inner else { return };
         let at = inner.clock.get();
-        let mut s = inner.state.borrow_mut();
-        s.hash = fnv1a(s.hash, &event_bytes(at, cat, name, phase, track, a0, a1));
-        s.count += 1;
-        s.events.push(TraceEvent { at, cat, name, phase, track, a0, a1 });
+        inner.record(TraceEvent { at, cat, name, phase, track, a0, a1 });
     }
 
     /// Emits an [`Phase::Instant`] event.
@@ -389,12 +437,8 @@ impl Tracer {
     /// The duration lands in `a1` (picoseconds).
     pub fn complete_since(&self, cat: Category, name: &'static str, track: u32, start: Time, a0: u64) {
         let Some(inner) = &self.inner else { return };
-        let now = inner.clock.get();
-        let dur = (now - start).as_ps();
-        let mut s = inner.state.borrow_mut();
-        s.hash = fnv1a(s.hash, &event_bytes(start, cat, name, Phase::Complete, track, a0, dur));
-        s.count += 1;
-        s.events.push(TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur });
+        let dur = (inner.clock.get() - start).as_ps();
+        inner.record(TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur });
     }
 
     /// Emits a [`Phase::Complete`] span over an explicit `[start, end]`
@@ -405,14 +449,11 @@ impl Tracer {
     pub fn complete_span(&self, cat: Category, name: &'static str, track: u32, start: Time, end: Time, a0: u64) {
         let Some(inner) = &self.inner else { return };
         let dur = if end > start { (end - start).as_ps() } else { 0 };
-        let mut s = inner.state.borrow_mut();
-        s.hash = fnv1a(s.hash, &event_bytes(start, cat, name, Phase::Complete, track, a0, dur));
-        s.count += 1;
-        s.events.push(TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur });
+        inner.record(TraceEvent { at: start, cat, name, phase: Phase::Complete, track, a0, a1: dur });
     }
 
-    /// Running FNV-1a-64 content hash over all events so far (the hash of
-    /// the empty trace for a disabled tracer).
+    /// Running FNV-1a-64 content hash over all events emitted so far,
+    /// buffered or not (the hash of the empty trace for a disabled tracer).
     pub fn hash(&self) -> u64 {
         match &self.inner {
             None => FNV_OFFSET,
@@ -420,23 +461,33 @@ impl Tracer {
         }
     }
 
-    /// Number of events recorded so far.
+    /// Number of events emitted so far, buffered or not.
     pub fn count(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.state.borrow().count)
     }
 
-    /// A snapshot of the recorded events.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.state.borrow().events.clone())
+    /// Moves the buffered events out, leaving the buffer empty; the hash
+    /// and count keep running.
+    pub fn take_events(&self) -> Vec<TraceEvent> {
+        self.inner.as_ref().map_or_else(Vec::new, |i| std::mem::take(&mut i.state.borrow_mut().events))
+    }
+}
+
+impl TracerInner {
+    fn record(&self, e: TraceEvent) {
+        let mut s = self.state.borrow_mut();
+        s.hash = fold_event(s.hash, &e);
+        s.count += 1;
+        if self.buffered.contains(e.cat) {
+            s.events.push(e);
+        }
     }
 }
 
 /// Recomputes the content hash of an event slice; equals [`Tracer::hash`]
 /// after those events were emitted.
 pub fn hash_events(events: &[TraceEvent]) -> u64 {
-    events.iter().fold(FNV_OFFSET, |h, e| {
-        fnv1a(h, &event_bytes(e.at, e.cat, e.name, e.phase, e.track, e.a0, e.a1))
-    })
+    events.iter().fold(FNV_OFFSET, fold_event)
 }
 
 /// Magic header of the binary trace log (7 bytes magic + 1 byte version).
@@ -450,7 +501,7 @@ pub fn encode(events: &[TraceEvent]) -> Vec<u8> {
     out.extend_from_slice(TRACE_MAGIC);
     out.extend_from_slice(&(events.len() as u64).to_le_bytes());
     for e in events {
-        out.extend_from_slice(&event_bytes(e.at, e.cat, e.name, e.phase, e.track, e.a0, e.a1));
+        write_record(e, |bytes| out.extend_from_slice(bytes));
     }
     out
 }
@@ -706,7 +757,7 @@ mod tests {
         assert!(!t.is_on());
         assert_eq!(t.count(), 0);
         assert_eq!(t.hash(), FNV_OFFSET);
-        assert!(t.events().is_empty());
+        assert!(t.take_events().is_empty());
     }
 
     #[test]
@@ -716,7 +767,7 @@ mod tests {
         let t2 = t.clone();
         sim.schedule_in(Span::from_ns(42), move |_| t2.instant(Category::Mem, "probe", 3, 7, 9));
         sim.run();
-        let evs = t.events();
+        let evs = t.take_events();
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].at.as_ns(), 42);
         assert_eq!((evs[0].track, evs[0].a0, evs[0].a1), (3, 7, 9));
@@ -732,8 +783,34 @@ mod tests {
         let t = Tracer::new(sim.now_handle());
         t.instant(Category::Swq, "a", 0, 1, 0);
         t.instant(Category::Swq, "b", 0, 2, 0);
-        assert_eq!(t.hash(), hash_events(&t.events()));
+        assert_eq!(t.hash(), hash_events(&t.take_events()));
         assert_eq!(t.count(), 2);
+    }
+
+    #[test]
+    fn subscribed_tracer_hashes_and_counts_like_a_full_one() {
+        let sim = Sim::new();
+        let full = Tracer::new(sim.now_handle());
+        let load = Tracer::buffering(sim.now_handle(), Categories::only(Category::Load));
+        let none = Tracer::buffering(sim.now_handle(), Categories::NONE);
+        for t in [&full, &load, &none] {
+            t.instant(Category::Load, "load.arrive", 0, 1, 0);
+            t.instant(Category::Swq, "swq.enqueue", 0, 1, 1);
+            t.counter(Category::Mem, "lfb.occ", 2, 5);
+            t.complete_since(Category::Load, "load.serve", 0, Time::ZERO, 1);
+            t.complete_span(Category::Pcie, "tlp", 300, Time::ZERO, Time::from_ps(9), 64);
+        }
+        for t in [&load, &none] {
+            assert_eq!((t.hash(), t.count()), (full.hash(), full.count()));
+        }
+        let all = full.take_events();
+        assert_eq!(full.hash(), hash_events(&all));
+        let loads: Vec<_> = all.iter().filter(|e| e.cat == Category::Load).copied().collect();
+        assert_eq!(loads.len(), 2);
+        assert_eq!(load.take_events(), loads, "the subscribed buffer is the filtered stream");
+        assert!(none.take_events().is_empty());
+        assert!(load.take_events().is_empty(), "take_events moves the buffer out");
+        assert_eq!(load.count(), 5, "taking the buffer leaves the count alone");
     }
 
     #[test]
@@ -914,7 +991,7 @@ mod tests {
         t.complete_span(Category::Load, "rpc.hop", 3, start, end, 42);
         // Inverted interval: zero-length span, never a panic or underflow.
         t.complete_span(Category::Load, "rpc.hop", 3, end, start, 43);
-        let evs = t.events();
+        let evs = t.take_events();
         assert_eq!(evs.len(), 2);
         assert_eq!((evs[0].at, evs[0].a0, evs[0].a1), (start, 42, 3_500));
         assert_eq!(evs[0].phase, Phase::Complete);

@@ -12,14 +12,18 @@
 //!    topology, per-hop critical time sums to the population's total
 //!    critical time exactly (the per-request equivalent is asserted
 //!    inside `BlameReport` construction).
+//! 5. **Subscription inertness** — a serving run that buffers only the
+//!    `Load` events its reports read hashes, counts and reports exactly
+//!    like the same run with every event buffered.
 
 use kus_bench::blame::{run_blame_sweep, BlameSweepSpec};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
-    load_experiment, service_factory, ArrivalProcess, BlameReport, EchoService, LoadSpec,
-    TierSpec,
+    load_experiment, service_factory, ArrivalProcess, BlameReport, EchoService, LoadReport,
+    LoadSpec, NetConfig, NetReport, NicModelKind, TierSpec,
 };
+use kus_sim::Category;
 
 const MECHANISMS: [Mechanism; 3] =
     [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
@@ -147,5 +151,34 @@ fn hop_attribution_telescopes_exactly_on_live_runs() {
                 );
             }
         }
+    }
+}
+
+/// With the causal class and a NIC on, a run that buffers only its
+/// subscribed `Load` events is the fully traced run seen through a
+/// filter: the same hash and count over every emitted event, the same
+/// load, NIC and blame reports byte for byte, and exactly the `Load`
+/// part of the full stream in its buffer.
+#[test]
+fn subscribed_buffering_is_inert_under_every_mechanism() {
+    for mech in MECHANISMS {
+        let spec = base_spec().net(NetConfig::on().nic(NicModelKind::nanopu()));
+        let cfg = base_cfg(mech).causal().seed(5);
+        let sub = run(spec, cfg.clone());
+        let full = run(spec, cfg.traced());
+        let (st, ft) = (sub.trace.as_ref().expect("subscribed"), full.trace.as_ref().expect("traced"));
+        assert_eq!((st.hash, st.count), (ft.hash, ft.count), "{mech}: hash and count cover every event");
+        assert_eq!(ft.count as usize, ft.events.len(), "{mech}: a full trace buffers every event");
+        let loads: Vec<_> = ft.events.iter().filter(|e| e.cat == Category::Load).copied().collect();
+        assert_eq!(st.events, loads, "{mech}: the subscribed buffer is the filtered stream");
+        assert!(st.events.len() < ft.events.len(), "{mech}: other categories were emitted");
+        let json = |r: &RunReport| {
+            (
+                LoadReport::from_run(r).expect("load report").to_json(),
+                NetReport::from_run(r).expect("net report").to_json(),
+                BlameReport::from_run(r).expect("blame report").to_json(),
+            )
+        };
+        assert_eq!(json(&sub), json(&full), "{mech}: reports must not see the buffering");
     }
 }
