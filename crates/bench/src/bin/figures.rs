@@ -122,19 +122,18 @@
 //!   every mechanism, and prints the scoreboard. Artifacts are
 //!   byte-identical across --jobs values.
 
-use kus_bench::blame::{run_blame_sweep, BlameSweepSpec};
-use kus_bench::load::{run_load_sweep, LoadSweepSpec, KNEE_GOODPUT_FRACTION};
-use kus_bench::net::{run_net_sweep, NetSweepSpec};
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
 use kus_bench::profile::run_profile_suite;
-use kus_bench::scenario::{load_scenario_dir, run_scenario_matrix, ScenarioMatrixSpec};
+use kus_bench::serving::{
+    blame_sweep, load_scenario_dir, load_sweep, net_sweep, overload_sweep, scenario_matrix,
+    ServingCell, ServingSweep, KNEE_GOODPUT_FRACTION,
+};
 use kus_bench::sweep::{run_figures, run_sweep, SweepOptions, SweepSpec};
 use kus_core::prelude::*;
-use kus_scenario::Scenario;
 use kus_load::{
     service_factory, AdmissionControl, ArrivalProcess, EchoService, LoadSpec, NetConfig,
     NicModelKind, ServiceFactory, SloSpec, TierSpec,
 };
+use kus_scenario::{MatrixSpec, Scenario};
 use kus_workloads::figures::{self, Quality};
 use kus_workloads::trace_scenarios::{run_trace_scenario, trace_scenarios};
 use kus_workloads::{
@@ -393,11 +392,38 @@ fn parse_rate(s: &str) -> Option<u64> {
     }
 }
 
-/// `figures load`: a serving sweep over mechanism × offered Poisson rate.
-fn load_mode(args: &[String]) -> i32 {
-    let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
+/// Parses `--flag VALUE`, exiting on a value that does not parse.
+fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    flag_value(args, flag)
+        .map(|v| v.parse().unwrap_or_else(|_| fail(format!("{flag}: bad value `{v}`"))))
+}
+
+/// Parses `--flag SPAN` (ns/us suffixes), exiting on bad input.
+fn span_flag(args: &[String], flag: &str) -> Option<Span> {
+    flag_value(args, flag).map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("{flag}: bad `{s}`"))))
+}
+
+/// [`list`], or `default` when the flag is absent.
+fn list_or<T: Clone>(args: &[String], flag: &str, parse: impl Fn(&str) -> Option<T>, default: &[T]) -> Vec<T> {
+    let v = list(args, flag, parse);
+    if v.is_empty() {
+        default.to_vec()
+    } else {
+        v
+    }
+}
+
+const MECHANISMS: [Mechanism; 3] = [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
+
+/// The base cell shared by the serving presets (`load`, `net`, `blame`,
+/// `overload`): `--service` (default `service`) on 2 cores × `fibers`
+/// fibers with the quality, `--faults`, `--seed`, `--cores` and `--fibers`
+/// flags applied, and a spec with `--requests` (default 400) and
+/// `--queue-cap` (default `queue`). Its arrival is a placeholder each rate
+/// point replaces; SLO flags stay per subcommand.
+fn serving_base(args: &[String], com: &Common, service: &str, fibers: usize, queue: usize) -> (String, ServingCell) {
+    let q = quality(args, com);
+    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(fibers);
     if !q.replay_device {
         cfg = cfg.without_replay_device();
     }
@@ -407,59 +433,54 @@ fn load_mode(args: &[String]) -> i32 {
     if let Some(seed) = q.seed {
         cfg = cfg.seed(seed);
     }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
+    if let Some(n) = parsed(args, "--cores") {
+        cfg = cfg.cores(n);
     }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
+    if let Some(n) = parsed(args, "--fibers") {
+        cfg = cfg.fibers_per_core(n);
     }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let mut slo = SloSpec::none();
-    if let Some(s) = flag_value(args, "--slo-p99") {
-        slo = slo.p99(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))));
-    }
-    if let Some(s) = flag_value(args, "--slo-p999") {
-        slo = slo.p999(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p999: bad `{s}`"))));
-    }
-    // Placeholder arrival; the sweep replaces it per cell with the swept
-    // Poisson rate.
     let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(slo);
+        .requests(parsed(args, "--requests").unwrap_or(400))
+        .queue_capacity(parsed(args, "--queue-cap").unwrap_or(queue));
+    let name = flag_value(args, "--service").unwrap_or_else(|| service.into());
+    let service = service_by_name(&name);
+    (name, ServingCell { spec, cfg, service })
+}
 
-    let service = flag_value(args, "--service").unwrap_or_else(|| "memcached".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = LoadSweepSpec::new(service, factory, spec, cfg);
-    let mechs = list(args, "--mech", parse_mech);
-    if !mechs.is_empty() {
-        sweep = sweep.mechanisms(&mechs);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
+/// Runs a serving preset: prints its table and writes its `--json` /
+/// `--csv` artifacts (and, given `bench`, the non-deterministic `--bench`
+/// record of that suite). Exits non-zero when any cell errored.
+fn run_serving(what: &str, sweep: &ServingSweep, args: &[String], com: &Common, bench: Option<&str>) -> i32 {
     let opts = com.opts();
-    eprintln!("# load sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_load_sweep(&sweep, &opts);
-    eprintln!("# load sweep: done in {:.2}s", results.wall_seconds);
+    eprintln!("# {what}: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
+    let results = sweep.run(&opts);
+    eprintln!("# {what}: done in {:.2}s", results.wall_seconds);
     print!("{}", results.render_table());
+    let cells = results.matrix().count();
     if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
+        write_artifact("--json", path, &results.to_json(), cells);
     }
     if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
+        write_artifact("--csv", path, &results.to_csv(), cells);
+    }
+    if let (Some(suite), Some(path)) = (bench, flag_value(args, "--bench")) {
+        if let Err(e) = std::fs::write(&path, results.bench_json(suite)) {
+            fail(format!("--bench: cannot write {path}: {e}"));
+        }
+        eprintln!("# wrote {path}");
     }
     i32::from(results.errors().count() > 0)
+}
+
+/// `figures load`: a serving sweep over mechanism × offered Poisson rate.
+fn load_mode(args: &[String]) -> i32 {
+    let com = common(args);
+    let (name, mut base) = serving_base(args, &com, "memcached", 8, 64);
+    base.spec.slo = SloSpec { p99: span_flag(args, "--slo-p99"), p999: span_flag(args, "--slo-p999"), ..SloSpec::none() };
+    let mechs = list_or(args, "--mech", parse_mech, &MECHANISMS);
+    let rates = [250_000, 500_000, 1_000_000, 2_000_000, 2_500_000, 3_000_000, 4_000_000];
+    let rates = list_or(args, "--rates", parse_rate, &rates);
+    run_serving("load sweep", &load_sweep(&name, base, &mechs, &rates), args, &com, None)
 }
 
 /// Parses a NIC model name: `dma` | `nanopu`.
@@ -483,161 +504,48 @@ fn parse_topo(s: &str) -> Option<TierSpec> {
 /// with dispatcher-only baseline cells at the same rates).
 fn net_mode(args: &[String]) -> i32 {
     let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if q.faults.is_active() {
-        cfg = cfg.faults(q.faults);
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let mut slo = SloSpec::none();
-    if let Some(s) = flag_value(args, "--slo-p99") {
-        slo = slo.p99(parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))));
-    }
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(slo);
-
+    let (name, mut base) = serving_base(args, &com, "echo", 8, 64);
+    base.spec.slo = SloSpec { p99: span_flag(args, "--slo-p99"), ..SloSpec::none() };
     // The shared wire/steering knobs; the NIC model axis replaces `nic`.
     let mut net = NetConfig::on();
-    if let Some(v) = flag_value(args, "--rx-queues") {
-        net = net
-            .rx_queues(v.parse().unwrap_or_else(|_| fail(format!("--rx-queues: bad `{v}`"))));
+    if let Some(n) = parsed(args, "--rx-queues") {
+        net = net.rx_queues(n);
     }
-    if let Some(v) = flag_value(args, "--flows") {
-        net = net.flows(v.parse().unwrap_or_else(|_| fail(format!("--flows: bad `{v}`"))));
+    if let Some(n) = parsed(args, "--flows") {
+        net = net.flows(n);
     }
-    if let Some(v) = flag_value(args, "--link-gbps") {
-        net = net
-            .link_gbps(v.parse().unwrap_or_else(|_| fail(format!("--link-gbps: bad `{v}`"))));
+    if let Some(g) = parsed(args, "--link-gbps") {
+        net = net.link_gbps(g);
     }
-    if let Some(s) = flag_value(args, "--net-jitter") {
-        net = net
-            .jitter(parse_span(&s).unwrap_or_else(|| fail(format!("--net-jitter: bad `{s}`"))));
+    if let Some(j) = span_flag(args, "--net-jitter") {
+        net = net.jitter(j);
     }
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = NetSweepSpec::new(service, factory, spec, cfg, net);
-    let nics = list(args, "--nics", parse_nic);
-    if !nics.is_empty() {
-        sweep = sweep.nics(&nics);
-    }
-    let topos = list(args, "--topos", parse_topo);
-    if !topos.is_empty() {
-        sweep = sweep.topologies(&topos);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# net sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_net_sweep(&sweep, &opts);
-    eprintln!("# net sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    i32::from(results.errors().count() > 0)
+    let nics = list_or(args, "--nics", parse_nic, &[NicModelKind::dma(), NicModelKind::nanopu()]);
+    let topos = list_or(args, "--topos", parse_topo, &[TierSpec::rpc(), TierSpec::fanout(4)]);
+    let rates = list_or(args, "--rates", parse_rate, &[250_000, 500_000, 1_000_000, 2_000_000, 3_000_000]);
+    run_serving("net sweep", &net_sweep(&name, base, net, &nics, &topos, &rates), args, &com, None)
 }
 
 /// `figures blame`: the causal critical-path sweep (mechanism × tier
 /// topology × rate, with the zero-fanout baseline alongside).
 fn blame_mode(args: &[String]) -> i32 {
     let com = common(args);
-    let q = quality(args, &com);
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(8);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if q.faults.is_active() {
-        cfg = cfg.faults(q.faults);
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(64);
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap);
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = BlameSweepSpec::new(service, factory.clone(), spec, cfg.clone());
-    let mechs = list(args, "--mech", parse_mech);
-    if !mechs.is_empty() {
-        sweep = sweep.mechanisms(&mechs);
-    }
-    let topos = list(args, "--topos", parse_topo);
-    if !topos.is_empty() {
-        sweep = sweep.topologies(&topos);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# blame sweep: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_blame_sweep(&sweep, &opts);
-    eprintln!("# blame sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
+    let (name, base) = serving_base(args, &com, "echo", 8, 64);
+    let mechs = list_or(args, "--mech", parse_mech, &MECHANISMS);
+    let topos = list_or(args, "--topos", parse_topo, &[TierSpec::fanout(4)]);
+    let rates = list_or(args, "--rates", parse_rate, &[250_000, 1_000_000, 2_000_000]);
+    let sweep = blame_sweep(&name, base.clone(), &mechs, &topos, &rates);
+    let code = run_serving("blame sweep", &sweep, args, &com, None);
     if let Some(path) = flag_value(args, "--trace") {
         // One representative causal fan-out run at the first swept rate:
         // its Chrome trace carries the flow arrows that draw the fan-out
         // and join edges of the span DAG in Perfetto.
-        let tiers = topos.first().copied().unwrap_or_else(|| TierSpec::fanout(4));
-        let rate = rates.first().copied().unwrap_or(250_000);
-        let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: rate as f64 })
-            .requests(requests)
-            .queue_capacity(queue_cap)
-            .tiers(tiers);
-        let exp = kus_load::load_experiment("blame trace", spec, cfg.causal().traced(), factory)
+        let spec = LoadSpec {
+            arrival: ArrivalProcess::Poisson { rate_rps: rates[0] as f64 },
+            tiers: topos[0],
+            ..base.spec
+        };
+        let exp = kus_load::load_experiment("blame trace", spec, base.cfg.causal().traced(), base.service)
             .unwrap_or_else(|e| fail(format!("--trace: {e}")));
         let run = exp.run();
         let t = run.trace.as_ref().expect("traced run");
@@ -645,95 +553,28 @@ fn blame_mode(args: &[String]) -> i32 {
         let json = kus_sim::trace::chrome_json_with_flows(&t.events, &arrows);
         write_artifact("--trace", &path, &json, arrows.len());
     }
-    i32::from(results.errors().count() > 0)
+    code
 }
 
+/// Parses an admission policy by name, with the parameters of the
+/// overload defaults ([`MatrixSpec::default`]).
 fn parse_policy(s: &str) -> Option<AdmissionControl> {
-    match s {
-        "static" => Some(AdmissionControl::Static),
-        "deadline" => Some(AdmissionControl::DeadlineAware {
-            target: Span::from_us(2),
-            interval: Span::from_us(5),
-        }),
-        "adaptive" => Some(AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }),
-        _ => None,
-    }
+    MatrixSpec::default().policies.into_iter().find(|p| p.label() == s)
 }
 
-/// `figures overload`: the degradation sweep (policy × fault plan × rate).
+/// `figures overload`: the degradation sweep (policy × fault plan × rate,
+/// [`MatrixSpec::default`]'s axes unless overridden, plus the retry pair).
 fn overload_mode(args: &[String]) -> i32 {
     let com = common(args);
-    let q = quality(args, &com);
     // Few fibers so queue waits (the admission signal) actually build under
     // overload; the SLO bound sits between deadline-aware's worst drain
     // bucket and static's, which is what the degradation matrix contrasts.
-    let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(4);
-    if !q.replay_device {
-        cfg = cfg.without_replay_device();
-    }
-    if let Some(seed) = q.seed {
-        cfg = cfg.seed(seed);
-    }
-    if let Some(v) = flag_value(args, "--cores") {
-        cfg = cfg.cores(v.parse().unwrap_or_else(|_| fail(format!("--cores: bad value `{v}`"))));
-    }
-    if let Some(v) = flag_value(args, "--fibers") {
-        cfg = cfg
-            .fibers_per_core(v.parse().unwrap_or_else(|_| fail(format!("--fibers: bad `{v}`"))));
-    }
-
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--requests: bad value `{s}`"))))
-        .unwrap_or(400);
-    let queue_cap: usize = flag_value(args, "--queue-cap")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--queue-cap: bad value `{s}`"))))
-        .unwrap_or(24);
-    let slo_p99 = flag_value(args, "--slo-p99")
-        .map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("--slo-p99: bad `{s}`"))))
-        .unwrap_or(Span::from_us(46));
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(requests)
-        .queue_capacity(queue_cap)
-        .slo(SloSpec::none().p99(slo_p99));
-
-    let service = flag_value(args, "--service").unwrap_or_else(|| "echo".into());
-    let factory = service_by_name(&service);
-
-    let mut sweep = OverloadSweepSpec::new(service, factory, spec, cfg);
-    let policies = list(args, "--policies", parse_policy);
-    if !policies.is_empty() {
-        sweep = sweep.policies(&policies);
-    }
-    let rates = list(args, "--rates", parse_rate);
-    if !rates.is_empty() {
-        sweep = sweep.rates(&rates);
-    }
-
-    let opts = com.opts();
-    eprintln!("# overload sweep: {} cells + retry pair, jobs={}", sweep.cell_count(), opts.jobs);
-    let results = run_overload_sweep(&sweep, &opts);
-    eprintln!("# overload sweep: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    emit_overload_artifacts(&com, args, &results);
-    i32::from(!results.errors().is_empty())
-}
-
-/// Writes the overload artifacts (`--json`, `--csv`, and the
-/// non-deterministic `--bench` record) — shared by `figures overload` and
-/// matrix-carrying `figures scenario` runs.
-fn emit_overload_artifacts(com: &Common, args: &[String], results: &kus_bench::OverloadResults) {
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    if let Some(path) = flag_value(args, "--bench") {
-        if let Err(e) = std::fs::write(&path, results.bench_json()) {
-            fail(format!("--bench: cannot write {path}: {e}"));
-        }
-        eprintln!("# wrote {path}");
-    }
+    let (name, mut base) = serving_base(args, &com, "echo", 4, 24);
+    base.spec.slo = SloSpec::none().p99(span_flag(args, "--slo-p99").unwrap_or(Span::from_us(46)));
+    let mut m = MatrixSpec::default();
+    m.policies = list_or(args, "--policies", parse_policy, &m.policies);
+    m.rates = list_or(args, "--rates", parse_rate, &m.rates);
+    run_serving("overload sweep", &overload_sweep(&name, base, &m), args, &com, Some("overload"))
 }
 
 /// `figures scenario FILE`: compile one declarative world and run it.
@@ -762,25 +603,11 @@ fn scenario_mode(args: &[String]) -> i32 {
         sc.fingerprint()
     );
 
-    if let Some(m) = sc.matrix().cloned() {
-        // A matrix scenario IS an overload sweep: same engine, same
+    if let Some(m) = sc.matrix() {
+        // A matrix scenario IS an overload sweep: same preset, same
         // artifacts, byte-for-byte.
-        let sweep = OverloadSweepSpec::new(sc.service_name(), sc.service(), sc.load(), sc.cfg().clone())
-            .policies(&m.policies)
-            .plans(&m.plans)
-            .rates(&m.rates)
-            .with_retry_pair(m.retry_pair);
-        let opts = com.opts();
-        eprintln!(
-            "# scenario matrix: {} cells + retry pair, jobs={}",
-            sweep.cell_count(),
-            opts.jobs
-        );
-        let results = run_overload_sweep(&sweep, &opts);
-        eprintln!("# scenario matrix: done in {:.2}s", results.wall_seconds);
-        print!("{}", results.render_table());
-        emit_overload_artifacts(&com, args, &results);
-        return i32::from(!results.errors().is_empty());
+        let sweep = overload_sweep(sc.service_name(), ServingCell::from(&sc), m);
+        return run_serving("scenario matrix", &sweep, args, &com, Some("overload"));
     }
 
     let exp = sc.experiment().unwrap_or_else(|e| fail(format!("scenario: {file}: {e}")));
@@ -883,19 +710,8 @@ fn scenario_matrix_mode(args: &[String]) -> i32 {
     let scenarios = load_scenario_dir(std::path::Path::new(&dir))
         .unwrap_or_else(|e| fail(format!("scenario-matrix: {e}")));
     eprintln!("# scenario-matrix: {} scenarios from {dir}", scenarios.len());
-    let spec = ScenarioMatrixSpec::new(scenarios).mechanisms(&list(args, "--mech", parse_mech));
-    let opts = com.opts();
-    eprintln!("# scenario-matrix: {} cells, jobs={}", spec.cell_count(), opts.jobs);
-    let results = run_scenario_matrix(&spec, &opts);
-    eprintln!("# scenario-matrix: done in {:.2}s", results.wall_seconds);
-    print!("{}", results.render_table());
-    if let Some(path) = &com.json {
-        write_artifact("--json", path, &results.to_json(), results.cells.len());
-    }
-    if let Some(path) = &com.csv {
-        write_artifact("--csv", path, &results.to_csv(), results.cells.len());
-    }
-    i32::from(results.errors().count() > 0)
+    let sweep = scenario_matrix(&scenarios, &list_or(args, "--mech", parse_mech, &MECHANISMS));
+    run_serving("scenario-matrix", &sweep, args, &com, None)
 }
 
 /// `figures simbench`: the simulator-substrate throughput suite.

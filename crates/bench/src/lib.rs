@@ -40,32 +40,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod blame;
 pub mod harness;
-pub mod load;
-pub mod net;
-pub mod overload;
 pub mod profile;
-pub mod scenario;
+pub mod serving;
 pub mod simbench;
 pub mod sweep;
 
-pub use blame::{
-    run_blame_sweep, BlameCell, BlameOutcome, BlameSweepResults, BlameSweepSpec, TierFlip,
-};
 pub use kus_workloads::figures;
-pub use load::{run_load_sweep, LoadCell, LoadSweepResults, LoadSweepSpec};
-pub use net::{run_net_sweep, NetCell, NetKnee, NetOutcome, NetSweepResults, NetSweepSpec};
-pub use overload::{
-    run_overload_sweep, OverloadCell, OverloadResults, OverloadSweepSpec, RetryCell,
-};
-pub use scenario::{
-    load_scenario_dir, run_scenario_matrix, ScenarioCell, ScenarioMatrixResults,
-    ScenarioMatrixSpec,
-};
 pub use profile::{profile_scenarios, run_profile_suite, ProfileOutcome, ProfileScenario, ProfileSuite};
+pub use serving::{
+    load_scenario_dir, Layout, Post, ServingCell, ServingOutcome, ServingResults, ServingRow,
+    ServingSweep, KNEE_GOODPUT_FRACTION,
+};
 pub use simbench::{run_simbench, ScenarioResult, SimbenchResults};
 pub use sweep::{
-    run_cells, run_figures, run_sweep, CellResult, SweepCell, SweepOptions, SweepResults,
-    SweepSpec,
+    axis_product, run_cells, run_figures, run_sweep, Axis, CellResult, Key, Point, SweepCell,
+    SweepOptions, SweepResults, SweepSpec,
 };

@@ -39,6 +39,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use kus_core::prelude::*;
+pub(crate) use kus_sim::trace::json_escape;
 use kus_workloads::figures::{Figure, Quality, RegistryEntry};
 
 /// One expanded matrix cell: a label plus either a runnable experiment or
@@ -184,117 +185,144 @@ impl SweepSpec {
             * n(&self.seeds)
     }
 
-    /// Expands the matrix into cells, in matrix order. Cells whose
+    /// Expands the matrix into cells, in matrix order (the axis order
+    /// above, each a point list on the [`axis_product`]). Cells whose
     /// configuration fails [`PlatformConfig::validate`] become error cells
     /// (they report an error row; they never abort the sweep).
     pub fn expand(&self) -> Vec<SweepCell> {
-        fn axis<T: Copy>(v: &[T]) -> Vec<Option<T>> {
-            if v.is_empty() {
-                vec![None]
-            } else {
-                v.iter().map(|&x| Some(x)).collect()
+        fn axis<T: Copy + std::fmt::Display + 'static>(
+            axes: &mut Vec<Axis<PlatformConfig>>,
+            name: &str,
+            values: &[T],
+            set: fn(PlatformConfig, T) -> PlatformConfig,
+        ) {
+            if !values.is_empty() {
+                axes.push(
+                    values
+                        .iter()
+                        .map(|&v| Point::new(format!("{name}={v}"), Vec::new(), move |c| set(c, v)))
+                        .collect(),
+                );
             }
         }
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for &mech in &axis(&self.mechanisms) {
-            for &lat in &axis(&self.device_latencies) {
-                for &cores in &axis(&self.cores) {
-                    for &fibers in &axis(&self.fibers_per_core) {
-                        for &smt in &axis(&self.smt) {
-                            for &lfbs in &axis(&self.lfb_counts) {
-                                for &credits in &axis(&self.device_path_credits) {
-                                    for &ring in &axis(&self.swq_ring_capacities) {
-                                        for &burst in &axis(&self.swq_fetch_bursts) {
-                                            for &ctx in &axis(&self.ctx_switches) {
-                                                for &seed in &axis(&self.seeds) {
-                                                    cells.push(self.cell(
-                                                        mech, lat, cores, fibers, smt, lfbs,
-                                                        credits, ring, burst, ctx, seed,
-                                                    ));
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let mut axes = Vec::new();
+        axis(&mut axes, "mech", &self.mechanisms, PlatformConfig::mechanism);
+        axis(&mut axes, "lat", &self.device_latencies, PlatformConfig::device_latency);
+        axis(&mut axes, "cores", &self.cores, PlatformConfig::cores);
+        axis(&mut axes, "fibers", &self.fibers_per_core, PlatformConfig::fibers_per_core);
+        axis(&mut axes, "smt", &self.smt, PlatformConfig::smt);
+        axis(&mut axes, "lfbs", &self.lfb_counts, PlatformConfig::lfbs);
+        axis(&mut axes, "credits", &self.device_path_credits, PlatformConfig::device_path_credits);
+        axis(&mut axes, "ring", &self.swq_ring_capacities, PlatformConfig::swq_ring_capacity);
+        axis(&mut axes, "burst", &self.swq_fetch_bursts, PlatformConfig::swq_fetch_burst);
+        axis(&mut axes, "ctx", &self.ctx_switches, PlatformConfig::ctx_switch);
+        axis(&mut axes, "seed", &self.seeds, PlatformConfig::seed);
+        axis_product(self.base.label(), self.base.config().clone(), &axes)
+            .into_iter()
+            .map(|c| SweepCell {
+                exp: self.base.relabeled(c.label.clone(), c.state).map_err(|e| e.to_string()),
+                label: c.label,
+            })
+            .collect()
+    }
+}
+
+/// A row key value: what one axis point contributes to a row's identity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Key {
+    /// A name (mechanism, topology, policy, ...).
+    Str(String),
+    /// A number (an offered rate).
+    Num(u64),
+}
+
+impl Key {
+    /// The value as a table cell.
+    pub fn text(&self) -> String {
+        match self {
+            Key::Str(s) => s.clone(),
+            Key::Num(n) => n.to_string(),
         }
-        cells
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn cell(
-        &self,
-        mech: Option<Mechanism>,
-        lat: Option<Span>,
-        cores: Option<usize>,
-        fibers: Option<usize>,
-        smt: Option<usize>,
-        lfbs: Option<usize>,
-        credits: Option<usize>,
-        ring: Option<usize>,
-        burst: Option<usize>,
-        ctx: Option<Span>,
-        seed: Option<u64>,
-    ) -> SweepCell {
-        use std::fmt::Write;
-        let mut cfg = self.base.config().clone();
-        let mut label = self.base.label().to_string();
-        let tag = |label: &mut String, part: std::fmt::Arguments| {
-            let _ = write!(label, " {part}");
-        };
-        if let Some(v) = mech {
-            cfg = cfg.mechanism(v);
-            tag(&mut label, format_args!("mech={v}"));
-        }
-        if let Some(v) = lat {
-            cfg = cfg.device_latency(v);
-            tag(&mut label, format_args!("lat={v}"));
-        }
-        if let Some(v) = cores {
-            cfg = cfg.cores(v);
-            tag(&mut label, format_args!("cores={v}"));
-        }
-        if let Some(v) = fibers {
-            cfg = cfg.fibers_per_core(v);
-            tag(&mut label, format_args!("fibers={v}"));
-        }
-        if let Some(v) = smt {
-            cfg = cfg.smt(v);
-            tag(&mut label, format_args!("smt={v}"));
-        }
-        if let Some(v) = lfbs {
-            cfg = cfg.lfbs(v);
-            tag(&mut label, format_args!("lfbs={v}"));
-        }
-        if let Some(v) = credits {
-            cfg = cfg.device_path_credits(v);
-            tag(&mut label, format_args!("credits={v}"));
-        }
-        if let Some(v) = ring {
-            cfg = cfg.swq_ring_capacity(v);
-            tag(&mut label, format_args!("ring={v}"));
-        }
-        if let Some(v) = burst {
-            cfg = cfg.swq_fetch_burst(v);
-            tag(&mut label, format_args!("burst={v}"));
-        }
-        if let Some(v) = ctx {
-            cfg = cfg.ctx_switch(v);
-            tag(&mut label, format_args!("ctx={v}"));
-        }
-        if let Some(v) = seed {
-            cfg = cfg.seed(v);
-            tag(&mut label, format_args!("seed={v}"));
-        }
-        match self.base.relabeled(label.clone(), cfg) {
-            Ok(exp) => SweepCell { label, exp: Ok(exp) },
-            Err(e) => SweepCell { label, exp: Err(e.to_string()) },
+    /// The value as a JSON scalar.
+    pub fn json(&self) -> String {
+        match self {
+            Key::Str(s) => format!("\"{}\"", json_escape(s)),
+            Key::Num(n) => n.to_string(),
         }
     }
+
+    /// The value as a CSV field.
+    pub fn csv(&self) -> String {
+        match self {
+            Key::Str(s) => csv_field(s),
+            Key::Num(n) => n.to_string(),
+        }
+    }
+}
+
+/// One point on a sweep axis: the tag it appends to a cell label, the row
+/// keys it sets, and the setter it applies to the cell state `S`.
+pub struct Point<S> {
+    /// Label fragment (`mech=swq`, `rate=250000rps`, ...; empty adds none).
+    pub tag: String,
+    /// Row keys this point sets, in column order.
+    pub keys: Vec<(&'static str, Key)>,
+    set: Box<dyn Fn(S) -> S>,
+}
+
+impl<S> Point<S> {
+    /// A point tagging labels with `tag`, keying rows with `keys`, and
+    /// editing the cell state with `set`.
+    pub fn new(
+        tag: impl Into<String>,
+        keys: Vec<(&'static str, Key)>,
+        set: impl Fn(S) -> S + 'static,
+    ) -> Point<S> {
+        Point { tag: tag.into(), keys, set: Box::new(set) }
+    }
+}
+
+/// An ordered list of points; a sweep is the product of its axes.
+pub type Axis<S> = Vec<Point<S>>;
+
+/// One combination of an [`axis_product`]: the label, the row keys and the
+/// state after every point's setter ran, in axis order.
+#[derive(Clone)]
+pub struct Combo<S> {
+    /// Base label plus each point's tag, space-separated.
+    pub label: String,
+    /// Every point's keys, in axis order.
+    pub keys: Vec<(&'static str, Key)>,
+    /// The edited cell state.
+    pub state: S,
+}
+
+/// The cartesian product of `axes` over `base`, first axis outermost (the
+/// deterministic matrix order every emitter follows).
+pub fn axis_product<S: Clone>(label: &str, base: S, axes: &[Axis<S>]) -> Vec<Combo<S>> {
+    let mut combos = vec![Combo { label: label.to_string(), keys: Vec::new(), state: base }];
+    for axis in axes {
+        combos = combos
+            .into_iter()
+            .flat_map(|c| {
+                axis.iter().map(move |p| {
+                    let mut c = c.clone();
+                    if !p.tag.is_empty() {
+                        if !c.label.is_empty() {
+                            c.label.push(' ');
+                        }
+                        c.label.push_str(&p.tag);
+                    }
+                    c.keys.extend(p.keys.iter().cloned());
+                    c.state = (p.set)(c.state);
+                    c
+                })
+            })
+            .collect();
+    }
+    combos
 }
 
 /// Execution options for [`run_cells`].
@@ -482,22 +510,6 @@ impl SweepResults {
         }
         out
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 pub(crate) fn csv_field(s: &str) -> String {

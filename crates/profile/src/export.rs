@@ -8,8 +8,10 @@
 
 use std::fmt::Write as _;
 
+use kus_sim::trace::json_escape;
+
 use crate::account::CLASS_NAMES;
-use crate::{json_escape, ProfileReport};
+use crate::ProfileReport;
 
 /// Renders the report as a speedscope JSON document
 /// (<https://www.speedscope.app/file-format-schema.json>): one evented

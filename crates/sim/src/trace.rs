@@ -567,15 +567,23 @@ fn chrome_ts(t: Time) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
-fn json_escape(s: &str) -> String {
-    // Event names are static identifiers; escape defensively anyway.
-    s.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Escapes `s` for a JSON string literal: quotes, backslashes and the
+/// control characters (`\n`, `\r`, `\t` by name, the rest as `\u00XX`).
+/// The one escaper of the workspace's hand-written JSON emitters.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A causal arrow between two points on the timeline, rendered as a Chrome

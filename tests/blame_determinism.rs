@@ -16,7 +16,7 @@
 //!    `Load` events its reports read hashes, counts and reports exactly
 //!    like the same run with every event buffered.
 
-use kus_bench::blame::{run_blame_sweep, BlameSweepSpec};
+use kus_bench::serving::{blame_sweep, ServingCell, ServingSweep};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
@@ -50,27 +50,28 @@ fn run(spec: LoadSpec, cfg: PlatformConfig) -> RunReport {
         .run()
 }
 
-fn tiny_sweep() -> BlameSweepSpec {
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(80)
-        .queue_capacity(16);
-    let cfg = PlatformConfig::paper_default()
-        .without_replay_device()
-        .cores(2)
-        .fibers_per_core(4)
-        .dataset_bytes(1 << 20);
-    BlameSweepSpec::new("echo", service_factory(|| EchoService::new(64)), spec, cfg)
-        .mechanisms(&[Mechanism::OnDemand, Mechanism::SoftwareQueue])
-        .topologies(&[TierSpec::fanout(4)])
-        .rates(&[200_000, 1_500_000])
+fn tiny_sweep() -> ServingSweep {
+    let base = ServingCell {
+        spec: LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+            .requests(80)
+            .queue_capacity(16),
+        cfg: PlatformConfig::paper_default()
+            .without_replay_device()
+            .cores(2)
+            .fibers_per_core(4)
+            .dataset_bytes(1 << 20),
+        service: service_factory(|| EchoService::new(64)),
+    };
+    let mechs = [Mechanism::OnDemand, Mechanism::SoftwareQueue];
+    blame_sweep("echo", base, &mechs, &[TierSpec::fanout(4)], &[200_000, 1_500_000])
 }
 
 /// `figures blame` artifacts are byte-identical across `--jobs` values.
 #[test]
 fn blame_sweep_artifacts_are_jobs_invariant() {
     let spec = tiny_sweep();
-    let serial = run_blame_sweep(&spec, &SweepOptions::jobs(1));
-    let pooled = run_blame_sweep(&spec, &SweepOptions::jobs(4));
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let pooled = spec.run(&SweepOptions::jobs(4));
     assert_eq!(serial.to_json(), pooled.to_json());
     assert_eq!(serial.to_csv(), pooled.to_csv());
     assert_eq!(serial.render_table(), pooled.render_table());

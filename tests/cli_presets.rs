@@ -18,11 +18,16 @@ fn committed(rel: &str) -> String {
         .unwrap_or_else(|e| panic!("missing committed artifact {rel}: {e}"))
 }
 
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("kus-cli-presets-{}-{tag}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
 /// Runs `figures ARGS --jobs N --json .. --csv ..` from the repo root and
 /// returns (stdout, json, csv).
 fn run_figures(tag: &str, args: &[&str], jobs: usize) -> (String, String, String) {
-    let dir = std::env::temp_dir().join(format!("kus-cli-presets-{}-{tag}-j{jobs}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = scratch_dir(&format!("{tag}-j{jobs}"));
     let (json, csv) = (dir.join("out.json"), dir.join("out.csv"));
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .current_dir(repo_root())
@@ -93,4 +98,23 @@ fn scenario_matrix_preset_reproduces_pinned_artifacts() {
 #[test]
 fn flagless_overload_preset_reproduces_committed_artifacts() {
     assert_pinned("overload", &["overload"], "artifacts/overload/overload");
+}
+
+/// `figures overload --faults PLAN` injects the platform fault plan into
+/// every matrix cell, like `load`/`net`/`blame` do, while the retry pair
+/// keeps its fixed latency-spike plan (and the flagless run stays pinned
+/// above).
+#[test]
+fn overload_faults_flag_reaches_the_matrix_cells() {
+    let dir = scratch_dir("overload-faults");
+    let plan = dir.join("plan.toml");
+    std::fs::write(&plan, "latency_spike_prob = 0.2\nlatency_spike_ns = 5000\n").expect("plan written");
+    let (stdout, json, _) = run_figures("overload-faults", &["overload", "--faults", plan.to_str().unwrap()], 2);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_ne!(json, committed("artifacts/overload/overload.json"), "--faults was ignored");
+    let split = |s: &str| s.lines().map(String::from).partition::<Vec<_>, _>(|l| l.starts_with("retry "));
+    let ((retry, rows), (pinned_retry, pinned_rows)) = (split(&stdout), split(&committed("artifacts/overload/overload.txt")));
+    assert_ne!(rows, pinned_rows, "matrix rows must see the plan");
+    assert_eq!(retry.len(), 2);
+    assert_eq!(retry, pinned_retry, "the retry pair runs its own fixed plan");
 }

@@ -10,7 +10,7 @@
 //!    out the default (disabled) NIC and the direct tier chain is
 //!    bit-indistinguishable from one that never mentions them.
 
-use kus_bench::net::{run_net_sweep, NetSweepSpec};
+use kus_bench::serving::{net_sweep, ServingCell, ServingSweep};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
@@ -75,23 +75,22 @@ fn nic_jitter_reproduces_per_seed() {
     assert_ne!(a, c, "a different seed must draw different jitter");
 }
 
-fn tiny_net_sweep() -> NetSweepSpec {
-    NetSweepSpec::new(
-        "echo",
-        service_factory(|| EchoService::new(64)),
-        base_spec(),
-        base_cfg(Mechanism::Prefetch).seed(17),
-        NetConfig::on(),
-    )
-    .topologies(&[TierSpec::rpc(), TierSpec::fanout(4)])
-    .rates(&[300_000, 3_000_000])
+fn tiny_net_sweep() -> ServingSweep {
+    let base = ServingCell {
+        spec: base_spec(),
+        cfg: base_cfg(Mechanism::Prefetch).seed(17),
+        service: service_factory(|| EchoService::new(64)),
+    };
+    let nics = [NicModelKind::dma(), NicModelKind::nanopu()];
+    let topos = [TierSpec::rpc(), TierSpec::fanout(4)];
+    net_sweep("echo", base, NetConfig::on(), &nics, &topos, &[300_000, 3_000_000])
 }
 
 /// The `figures net` artifacts are byte-identical at any `--jobs`.
 #[test]
 fn net_sweep_artifacts_are_byte_identical_across_jobs() {
-    let serial = run_net_sweep(&tiny_net_sweep(), &SweepOptions::jobs(1));
-    let pooled = run_net_sweep(&tiny_net_sweep(), &SweepOptions::jobs(4));
+    let serial = tiny_net_sweep().run(&SweepOptions::jobs(1));
+    let pooled = tiny_net_sweep().run(&SweepOptions::jobs(4));
     assert_eq!(serial.errors().count(), 0, "{:?}", serial.errors().collect::<Vec<_>>());
     assert_eq!(serial.to_json(), pooled.to_json());
     assert_eq!(serial.to_csv(), pooled.to_csv());

@@ -11,13 +11,14 @@
 //!    same trace fingerprint, same event count, same report JSON. The
 //!    overload machinery costs nothing unless it is asked for.
 
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
+use kus_bench::serving::{overload_sweep, ServingCell, ServingSweep};
 use kus_bench::sweep::SweepOptions;
 use kus_core::prelude::*;
 use kus_load::{
     load_experiment, service_factory, AdmissionControl, ArrivalProcess, EchoService, LoadReport,
     LoadSpec, RetryPolicy, SloSpec,
 };
+use kus_scenario::MatrixSpec;
 use kus_sim::fault::FaultPlan;
 use kus_sim::Span;
 
@@ -28,63 +29,66 @@ fn chaos_plan() -> FaultPlan {
         .with_dispatcher_stalls(0.05, Span::from_us(5))
 }
 
-fn chaos_sweep() -> OverloadSweepSpec {
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(150)
-        .queue_capacity(32)
-        .slo(SloSpec::none().p99(Span::from_us(40)));
-    let cfg = PlatformConfig::paper_default()
-        .without_replay_device()
-        .cores(2)
-        .fibers_per_core(4)
-        .seed(11);
-    OverloadSweepSpec::new(
-        "echo",
-        service_factory(|| EchoService::new(256)),
-        spec,
-        cfg,
-    )
-    .policies(&[AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }])
-    .plans(&[("chaos".into(), chaos_plan())])
-    .rates(&[2_000_000])
+fn chaos_sweep() -> ServingSweep {
+    let base = ServingCell {
+        spec: LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+            .requests(150)
+            .queue_capacity(32)
+            .slo(SloSpec::none().p99(Span::from_us(40))),
+        cfg: PlatformConfig::paper_default()
+            .without_replay_device()
+            .cores(2)
+            .fibers_per_core(4)
+            .seed(11),
+        service: service_factory(|| EchoService::new(256)),
+    };
+    let m = MatrixSpec {
+        policies: vec![AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }],
+        plans: vec![("chaos".into(), chaos_plan())],
+        rates: vec![2_000_000],
+        retry_pair: true,
+    };
+    overload_sweep("echo", base, &m)
 }
 
 /// Same seed, same chaos, any `--jobs`: the artifacts are byte-identical.
 #[test]
 fn adaptive_chaos_sweep_is_byte_identical_across_jobs() {
-    let serial = run_overload_sweep(&chaos_sweep(), &SweepOptions::jobs(1));
-    let parallel = run_overload_sweep(&chaos_sweep(), &SweepOptions::jobs(4));
-    assert!(serial.errors().is_empty(), "{:?}", serial.errors());
+    let serial = chaos_sweep().run(&SweepOptions::jobs(1));
+    let parallel = chaos_sweep().run(&SweepOptions::jobs(4));
+    assert_eq!(serial.errors().count(), 0, "{:?}", serial.errors().collect::<Vec<_>>());
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
     // The chaos really bit: crashes and stalls are in the artifact.
-    let (report, _) = serial.cells[0].outcome.as_ref().unwrap();
+    let report = &serial.rows[0].outcome.as_ref().unwrap().load;
     assert!(report.crashes + report.dispatcher_stalls > 0, "chaos plan was a no-op");
     assert!(!report.fault_windows.is_empty(), "freeze windows missing from the trace");
 }
 
 /// The committed `artifacts/overload/` files are regenerated byte-for-byte
-/// by the default degradation sweep — the same spec `figures --overload`
-/// builds with no flags. This pins the *entire* deterministic output of the
+/// by the default degradation sweep — the overload preset over
+/// [`MatrixSpec::default`], as `figures overload` builds it with no flags
+/// (`tests/cli_presets.rs` pins the binary itself). This pins the *entire* deterministic output of the
 /// serving + overload + event-core stack to the repository: any scheduler
 /// or allocator change that perturbs even one event's order shows up as an
 /// artifact diff here. (The wall-clock `BENCH_overload.json` is the one
 /// non-deterministic sibling and is deliberately not pinned.)
 #[test]
 fn committed_overload_artifacts_reproduce() {
-    // Mirrors `overload_mode`'s defaults in `figures.rs` — keep in sync.
-    let spec = LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
-        .requests(400)
-        .queue_capacity(24)
-        .slo(SloSpec::none().p99(Span::from_us(46)));
-    let cfg = PlatformConfig::paper_default()
-        .without_replay_device()
-        .cores(2)
-        .fibers_per_core(4);
-    let sweep =
-        OverloadSweepSpec::new("echo", service_factory(|| EchoService::new(4096)), spec, cfg);
-    let results = run_overload_sweep(&sweep, &SweepOptions::jobs(2));
-    assert!(results.errors().is_empty(), "{:?}", results.errors());
+    // `overload_mode`'s platform and spec defaults in `figures.rs`.
+    let base = ServingCell {
+        spec: LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 })
+            .requests(400)
+            .queue_capacity(24)
+            .slo(SloSpec::none().p99(Span::from_us(46))),
+        cfg: PlatformConfig::paper_default()
+            .without_replay_device()
+            .cores(2)
+            .fibers_per_core(4),
+        service: service_factory(|| EchoService::new(4096)),
+    };
+    let results = overload_sweep("echo", base, &MatrixSpec::default()).run(&SweepOptions::jobs(2));
+    assert_eq!(results.errors().count(), 0, "{:?}", results.errors().collect::<Vec<_>>());
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/overload");
     let committed = |name: &str| {

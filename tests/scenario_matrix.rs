@@ -16,9 +16,9 @@
 
 use std::path::Path;
 
-use kus_bench::overload::{run_overload_sweep, OverloadSweepSpec};
-use kus_bench::scenario::{load_scenario_dir, run_scenario_matrix, ScenarioMatrixSpec};
+use kus_bench::serving::{load_scenario_dir, overload_sweep, scenario_matrix, ServingCell};
 use kus_bench::sweep::SweepOptions;
+use kus_core::prelude::Mechanism;
 use kus_scenario::{Scenario, ScenarioSpec};
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -56,9 +56,10 @@ fn committed_corpus_compiles_and_round_trips() {
 #[test]
 fn scenario_matrix_is_byte_identical_across_jobs() {
     let scenarios = load_scenario_dir(&corpus_dir()).expect("corpus loads");
-    let spec = ScenarioMatrixSpec::new(scenarios);
-    let serial = run_scenario_matrix(&spec, &SweepOptions::jobs(1));
-    let parallel = run_scenario_matrix(&spec, &SweepOptions::jobs(4));
+    let mechs = [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
+    let spec = scenario_matrix(&scenarios, &mechs);
+    let serial = spec.run(&SweepOptions::jobs(1));
+    let parallel = spec.run(&SweepOptions::jobs(4));
     assert!(
         serial.errors().next().is_none(),
         "corpus has failing cells: {:?}",
@@ -78,14 +79,9 @@ fn overload_defaults_scenario_reproduces_committed_artifacts() {
     let text = std::fs::read_to_string(corpus_dir().join("overload-defaults.toml"))
         .expect("overload-defaults.toml is committed");
     let sc = Scenario::from_toml(&text).expect("overload-defaults compiles");
-    let m = sc.matrix().expect("overload-defaults carries a [matrix]").clone();
-    let sweep = OverloadSweepSpec::new(sc.service_name(), sc.service(), sc.load(), sc.cfg().clone())
-        .policies(&m.policies)
-        .plans(&m.plans)
-        .rates(&m.rates)
-        .with_retry_pair(m.retry_pair);
-    let results = run_overload_sweep(&sweep, &SweepOptions::jobs(2));
-    assert!(results.errors().is_empty(), "{:?}", results.errors());
+    let m = sc.matrix().expect("overload-defaults carries a [matrix]");
+    let results = overload_sweep(sc.service_name(), ServingCell::from(&sc), m).run(&SweepOptions::jobs(2));
+    assert_eq!(results.errors().count(), 0, "{:?}", results.errors().collect::<Vec<_>>());
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/overload");
     let committed = |name: &str| {

@@ -5,7 +5,7 @@
 //! serial `Runner::immediate` output exactly. A panicking cell must poison
 //! only its own row.
 
-use kus_bench::load::{run_load_sweep, LoadSweepSpec};
+use kus_bench::serving::{load_sweep, ServingCell};
 use kus_bench::sweep::{run_cells, run_figures, run_sweep, SweepCell, SweepOptions, SweepSpec};
 use kus_core::prelude::*;
 use kus_load::{service_factory, ArrivalProcess, EchoService, LoadSpec};
@@ -82,19 +82,16 @@ fn figure_pipeline_matches_serial_runner() {
 /// JSON and CSV, knees included.
 #[test]
 fn load_sweep_is_byte_identical_across_jobs() {
-    let spec = || {
-        LoadSweepSpec::new(
-            "echo",
-            service_factory(|| EchoService::new(256)),
-            LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 }).requests(80),
-            PlatformConfig::paper_default().without_replay_device().cores(2).fibers_per_core(4),
-        )
-        .mechanisms(&[Mechanism::OnDemand, Mechanism::SoftwareQueue])
-        .rates(&[500_000, 4_000_000])
+    let base = ServingCell {
+        spec: LoadSpec::new(ArrivalProcess::Poisson { rate_rps: 1.0 }).requests(80),
+        cfg: PlatformConfig::paper_default().without_replay_device().cores(2).fibers_per_core(4),
+        service: service_factory(|| EchoService::new(256)),
     };
-    let serial = run_load_sweep(&spec(), &SweepOptions::jobs(1));
-    let parallel = run_load_sweep(&spec(), &SweepOptions::jobs(4));
-    assert_eq!(serial.cells.len(), 4);
+    let mechs = [Mechanism::OnDemand, Mechanism::SoftwareQueue];
+    let sweep = load_sweep("echo", base, &mechs, &[500_000, 4_000_000]);
+    let serial = sweep.run(&SweepOptions::jobs(1));
+    let parallel = sweep.run(&SweepOptions::jobs(4));
+    assert_eq!(serial.rows.len(), 4);
     assert_eq!(serial.errors().count(), 0);
     assert_eq!(serial.to_json(), parallel.to_json());
     assert_eq!(serial.to_csv(), parallel.to_csv());
