@@ -84,11 +84,14 @@
 //!           --rates 1m,3m --requests 400 --queue-cap 24 --slo-p99 46us \
 //!           --jobs 4 --json overload.json --csv overload.csv \
 //!           --bench BENCH_overload.json
-//!   --policies is any of static | deadline | adaptive. Prints the
-//!   degradation matrix (goodput/shed/p99 and a graceful/brownout/collapse
-//!   verdict per cell); --json/--csv emit the full per-cell reports and
-//!   recovery analyses, byte-identical across --jobs values. --bench
-//!   writes the wall-clock/events-per-second record (not deterministic —
+//!   --policies is any of static | deadline | adaptive; the default axes
+//!   are kus-scenario's `MatrixSpec::default()`. Prints the degradation
+//!   matrix (goodput/shed/p99 and a graceful/brownout/collapse verdict per
+//!   cell); --json/--csv emit the full per-cell reports and recovery
+//!   analyses, byte-identical across --jobs values. --faults plan.toml
+//!   injects the platform fault plan into every matrix cell (the retry
+//!   pair always runs its own fixed latency-spike plan). --bench writes
+//!   the wall-clock/events-per-second record (not deterministic —
 //!   excluded from CI byte-diffs).
 //!
 //! `figures simbench` (the simulator-substrate throughput suite: the
@@ -201,6 +204,33 @@ fn list<T>(args: &[String], flag: &str, parse: impl Fn(&str) -> Option<T>) -> Ve
     }
 }
 
+/// Parses `--flag VALUE`, exiting on a value that does not parse.
+fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    flag_value(args, flag)
+        .map(|v| v.parse().unwrap_or_else(|_| fail(format!("{flag}: bad value `{v}`"))))
+}
+
+/// Parses `--flag SPAN` (ns/us suffixes), exiting on bad input.
+fn span_flag(args: &[String], flag: &str) -> Option<Span> {
+    flag_value(args, flag)
+        .map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("{flag}: bad `{s}`"))))
+}
+
+/// [`list`], or `default` when the flag is absent.
+fn list_or<T: Clone>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    default: &[T],
+) -> Vec<T> {
+    let v = list(args, flag, parse);
+    if v.is_empty() {
+        default.to_vec()
+    } else {
+        v
+    }
+}
+
 fn parse_span(s: &str) -> Option<Span> {
     if let Some(v) = s.strip_suffix("us") {
         v.parse().ok().map(Span::from_us)
@@ -298,9 +328,7 @@ fn sweep_mode(args: &[String]) -> i32 {
     if q.faults.is_active() {
         cfg = cfg.faults(q.faults);
     }
-    let work: u32 = flag_value(args, "--work")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--work: bad value `{s}`"))))
-        .unwrap_or(100);
+    let work: u32 = parsed(args, "--work").unwrap_or(100);
     let mc = MicrobenchConfig {
         work_count: work,
         mlp: 1,
@@ -392,28 +420,8 @@ fn parse_rate(s: &str) -> Option<u64> {
     }
 }
 
-/// Parses `--flag VALUE`, exiting on a value that does not parse.
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    flag_value(args, flag)
-        .map(|v| v.parse().unwrap_or_else(|_| fail(format!("{flag}: bad value `{v}`"))))
-}
-
-/// Parses `--flag SPAN` (ns/us suffixes), exiting on bad input.
-fn span_flag(args: &[String], flag: &str) -> Option<Span> {
-    flag_value(args, flag).map(|s| parse_span(&s).unwrap_or_else(|| fail(format!("{flag}: bad `{s}`"))))
-}
-
-/// [`list`], or `default` when the flag is absent.
-fn list_or<T: Clone>(args: &[String], flag: &str, parse: impl Fn(&str) -> Option<T>, default: &[T]) -> Vec<T> {
-    let v = list(args, flag, parse);
-    if v.is_empty() {
-        default.to_vec()
-    } else {
-        v
-    }
-}
-
-const MECHANISMS: [Mechanism; 3] = [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
+const MECHANISMS: [Mechanism; 3] =
+    [Mechanism::OnDemand, Mechanism::Prefetch, Mechanism::SoftwareQueue];
 
 /// The base cell shared by the serving presets (`load`, `net`, `blame`,
 /// `overload`): `--service` (default `service`) on 2 cores × `fibers`
@@ -421,7 +429,13 @@ const MECHANISMS: [Mechanism; 3] = [Mechanism::OnDemand, Mechanism::Prefetch, Me
 /// flags applied, and a spec with `--requests` (default 400) and
 /// `--queue-cap` (default `queue`). Its arrival is a placeholder each rate
 /// point replaces; SLO flags stay per subcommand.
-fn serving_base(args: &[String], com: &Common, service: &str, fibers: usize, queue: usize) -> (String, ServingCell) {
+fn serving_base(
+    args: &[String],
+    com: &Common,
+    service: &str,
+    fibers: usize,
+    queue: usize,
+) -> (String, ServingCell) {
     let q = quality(args, com);
     let mut cfg = PlatformConfig::paper_default().cores(2).fibers_per_core(fibers);
     if !q.replay_device {
@@ -450,7 +464,13 @@ fn serving_base(args: &[String], com: &Common, service: &str, fibers: usize, que
 /// Runs a serving preset: prints its table and writes its `--json` /
 /// `--csv` artifacts (and, given `bench`, the non-deterministic `--bench`
 /// record of that suite). Exits non-zero when any cell errored.
-fn run_serving(what: &str, sweep: &ServingSweep, args: &[String], com: &Common, bench: Option<&str>) -> i32 {
+fn run_serving(
+    what: &str,
+    sweep: &ServingSweep,
+    args: &[String],
+    com: &Common,
+    bench: Option<&str>,
+) -> i32 {
     let opts = com.opts();
     eprintln!("# {what}: {} cells, jobs={}", sweep.cell_count(), opts.jobs);
     let results = sweep.run(&opts);
@@ -476,7 +496,11 @@ fn run_serving(what: &str, sweep: &ServingSweep, args: &[String], com: &Common, 
 fn load_mode(args: &[String]) -> i32 {
     let com = common(args);
     let (name, mut base) = serving_base(args, &com, "memcached", 8, 64);
-    base.spec.slo = SloSpec { p99: span_flag(args, "--slo-p99"), p999: span_flag(args, "--slo-p999"), ..SloSpec::none() };
+    base.spec.slo = SloSpec {
+        p99: span_flag(args, "--slo-p99"),
+        p999: span_flag(args, "--slo-p999"),
+        ..SloSpec::none()
+    };
     let mechs = list_or(args, "--mech", parse_mech, &MECHANISMS);
     let rates = [250_000, 500_000, 1_000_000, 2_000_000, 2_500_000, 3_000_000, 4_000_000];
     let rates = list_or(args, "--rates", parse_rate, &rates);
@@ -522,7 +546,8 @@ fn net_mode(args: &[String]) -> i32 {
     }
     let nics = list_or(args, "--nics", parse_nic, &[NicModelKind::dma(), NicModelKind::nanopu()]);
     let topos = list_or(args, "--topos", parse_topo, &[TierSpec::rpc(), TierSpec::fanout(4)]);
-    let rates = list_or(args, "--rates", parse_rate, &[250_000, 500_000, 1_000_000, 2_000_000, 3_000_000]);
+    let rates =
+        list_or(args, "--rates", parse_rate, &[250_000, 500_000, 1_000_000, 2_000_000, 3_000_000]);
     run_serving("net sweep", &net_sweep(&name, base, net, &nics, &topos, &rates), args, &com, None)
 }
 
@@ -545,8 +570,13 @@ fn blame_mode(args: &[String]) -> i32 {
             tiers: topos[0],
             ..base.spec
         };
-        let exp = kus_load::load_experiment("blame trace", spec, base.cfg.causal().traced(), base.service)
-            .unwrap_or_else(|e| fail(format!("--trace: {e}")));
+        let exp = kus_load::load_experiment(
+            "blame trace",
+            spec,
+            base.cfg.causal().traced(),
+            base.service,
+        )
+        .unwrap_or_else(|e| fail(format!("--trace: {e}")));
         let run = exp.run();
         let t = run.trace.as_ref().expect("traced run");
         let arrows = kus_load::flow_arrows(&t.events);
@@ -716,9 +746,7 @@ fn scenario_matrix_mode(args: &[String]) -> i32 {
 
 /// `figures simbench`: the simulator-substrate throughput suite.
 fn simbench_mode(args: &[String]) -> i32 {
-    let samples: u32 = flag_value(args, "--samples")
-        .map(|s| s.parse().unwrap_or_else(|_| fail(format!("--samples: bad value `{s}`"))))
-        .unwrap_or(3);
+    let samples: u32 = parsed(args, "--samples").unwrap_or(3);
     let label = flag_value(args, "--label").unwrap_or_else(|| "wheel-slab".into());
     eprintln!("# simbench: {samples} samples per scenario per core");
     let results = kus_bench::simbench::run_simbench(samples);

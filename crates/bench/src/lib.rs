@@ -10,22 +10,26 @@
 //!   prints them as text tables.
 //! - `figures sweep` runs a declarative configuration matrix from the
 //!   command line (see `--help` in the binary's doc comment).
-//! - `figures load` runs a serving [`load`] sweep — mechanism × offered
-//!   rate — and prints the throughput–latency curve with the saturation
-//!   knee per mechanism.
-//! - `figures net` runs a [`net`] front-end sweep — NIC model × tier
-//!   topology × offered rate against the wire-less baseline — and prints
-//!   the per-front-end knee and its shift vs the dispatcher-only knee.
-//! - `figures overload` runs an [`overload`] sweep — admission policy ×
-//!   fault plan × offered rate — and prints the degradation matrix with a
-//!   graceful/brownout/collapse verdict per cell, plus the budgeted-vs-
-//!   unbudgeted retry pair.
+//! - `figures load`, `net`, `blame`, `overload` and `scenario-matrix`
+//!   are presets of the one [`serving`] sweep — each an axis list, a
+//!   column list and a post-processor list over the same axis product,
+//!   row type and writer:
+//!   - `load`: mechanism × offered rate; the throughput–latency curve and
+//!     the saturation knee per mechanism;
+//!   - `net`: front end (the dispatcher-only baseline, then NIC model ×
+//!     tier topology) × offered rate; the knee per front end and its
+//!     shift vs the baseline knee;
+//!   - `blame`: mechanism × tier topology (the `direct` baseline first) ×
+//!     offered rate; the critical tier per cell and its flips vs the
+//!     baseline;
+//!   - `overload`: admission policy × fault plan × offered rate; the
+//!     degradation matrix with a graceful/brownout/collapse verdict per
+//!     cell, plus the budgeted-vs-unbudgeted retry pair;
+//!   - `scenario-matrix`: every compiled `scenarios/` world × every
+//!     access mechanism.
 //! - `figures scenario FILE` compiles one `kus-scenario` TOML world and
-//!   runs it (a `[matrix]` scenario expands to the full overload sweep,
+//!   runs it (a `[matrix]` scenario runs the overload preset,
 //!   byte-identical to `figures overload`'s artifacts).
-//! - `figures scenario-matrix` compiles the whole `scenarios/` corpus and
-//!   scores it across every access mechanism on the sweep engine (the
-//!   [`scenario`] module) with byte-deterministic emitters.
 //! - `figures simbench` runs the [`simbench`] suite — event-core
 //!   throughput scenarios on the timing-wheel simulator core vs the
 //!   retained heap reference — writing the events/sec trajectory record
@@ -49,11 +53,11 @@ pub mod sweep;
 pub use kus_workloads::figures;
 pub use profile::{profile_scenarios, run_profile_suite, ProfileOutcome, ProfileScenario, ProfileSuite};
 pub use serving::{
-    load_scenario_dir, Layout, Post, ServingCell, ServingOutcome, ServingResults, ServingRow,
-    ServingSweep, KNEE_GOODPUT_FRACTION,
+    load_scenario_dir, ServingCell, ServingOutcome, ServingResults, ServingRow, ServingSweep,
+    KNEE_GOODPUT_FRACTION,
 };
 pub use simbench::{run_simbench, ScenarioResult, SimbenchResults};
 pub use sweep::{
-    axis_product, run_cells, run_figures, run_sweep, Axis, CellResult, Key, Point, SweepCell,
-    SweepOptions, SweepResults, SweepSpec,
+    run_cells, run_figures, run_sweep, CellResult, Key, SweepCell, SweepOptions, SweepResults,
+    SweepSpec,
 };

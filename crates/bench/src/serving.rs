@@ -114,14 +114,14 @@ impl ServingRow {
 }
 
 /// A column value of a row that ran.
-pub type Value = fn(&ServingRow, &ServingOutcome) -> String;
+type Value = fn(&ServingRow, &ServingOutcome) -> String;
 
 /// A JSON or CSV column: its name and value.
-pub type Column = (&'static str, Value);
+type Column = (&'static str, Value);
 
 /// How a table column pads its cells.
 #[derive(Debug, Clone, Copy)]
-pub enum Align {
+enum Align {
     /// Left-aligned in the width.
     Left(usize),
     /// Right-aligned in the width.
@@ -131,15 +131,15 @@ pub enum Align {
 }
 
 /// A table column: its header, alignment and value.
-pub type TableColumn = (&'static str, Align, Value);
+type TableColumn = (&'static str, Align, Value);
 
 /// A table key column: its header, alignment, and the keys it shows,
 /// joined by `/`.
-pub type KeyColumn = (&'static str, Align, &'static [&'static str]);
+type KeyColumn = (&'static str, Align, &'static [&'static str]);
 
 /// A summary over the rows, emitted after them.
 #[derive(Debug, Clone, Copy)]
-pub enum Post {
+enum Post {
     /// The saturation knee per group of rows equal on every key but the
     /// rate (see [`ServingResults::knees`]).
     Knees,
@@ -165,29 +165,29 @@ pub enum Post {
 /// How a sweep's rows are written: the one writer's column lists and
 /// post-processors, plus the reports the columns read.
 #[derive(Debug, Clone)]
-pub struct Layout {
+struct Layout {
     /// The table's first line.
-    pub title: String,
+    title: String,
     /// The JSON `service` field (omitted when `None`).
-    pub service: Option<String>,
+    service: Option<String>,
     /// Whether the CSV carries the label column.
-    pub csv_label: bool,
+    csv_label: bool,
     /// JSON fields after `"ok":true`.
-    pub json: &'static [Column],
+    json: &'static [Column],
     /// CSV columns after `ok`.
-    pub csv: &'static [Column],
+    csv: &'static [Column],
     /// Table key columns (also the error-row prefix).
-    pub table_keys: &'static [KeyColumn],
+    table_keys: &'static [KeyColumn],
     /// Table columns after the keys.
-    pub table: &'static [TableColumn],
+    table: &'static [TableColumn],
     /// Keys whose change starts a new table block.
-    pub group: &'static [&'static str],
+    group: &'static [&'static str],
     /// Summaries after the rows.
-    pub post: &'static [Post],
+    post: &'static [Post],
     /// Harvest a [`NetReport`] per cell (an error for NIC cells without one).
-    pub net: bool,
+    net: bool,
     /// Harvest a [`BlameReport`] per cell (an error when there is none).
-    pub blame: bool,
+    blame: bool,
 }
 
 /// A serving sweep: a labelled base cell, its axes, appended points, and
@@ -202,18 +202,18 @@ pub struct ServingSweep {
 
 impl ServingSweep {
     /// A sweep over `base` with no axes; cell labels start with `label`.
-    pub fn new(label: impl Into<String>, base: ServingCell, layout: Layout) -> ServingSweep {
+    fn new(label: impl Into<String>, base: ServingCell, layout: Layout) -> ServingSweep {
         ServingSweep { label: label.into(), base, axes: Vec::new(), appended: Vec::new(), layout }
     }
 
     /// Appends an axis (the last axis varies fastest).
-    pub fn axis(mut self, axis: Axis<ServingCell>) -> Self {
+    fn axis(mut self, axis: Axis<ServingCell>) -> Self {
         self.axes.push(axis);
         self
     }
 
     /// Runs `points` alongside the product, each from the base cell.
-    pub fn appended(mut self, points: Axis<ServingCell>) -> Self {
+    fn appended(mut self, points: Axis<ServingCell>) -> Self {
         self.appended = points;
         self
     }
@@ -228,13 +228,22 @@ impl ServingSweep {
     pub fn run(&self, opts: &SweepOptions) -> ServingResults {
         let mut combos = axis_product(&self.label, self.base.clone(), &self.axes);
         let matrix = combos.len();
-        combos.extend(axis_product(&self.label, self.base.clone(), std::slice::from_ref(&self.appended)));
+        combos.extend(axis_product(
+            &self.label,
+            self.base.clone(),
+            std::slice::from_ref(&self.appended),
+        ));
         let cells = combos
             .iter()
             .map(|c| SweepCell {
                 label: c.label.clone(),
-                exp: load_experiment(&c.label, c.state.spec, c.state.cfg.clone(), c.state.service.clone())
-                    .map_err(|e| e.to_string()),
+                exp: load_experiment(
+                    &c.label,
+                    c.state.spec,
+                    c.state.cfg.clone(),
+                    c.state.service.clone(),
+                )
+                .map_err(|e| e.to_string()),
             })
             .collect();
         let results = run_cells(cells, opts);
@@ -256,7 +265,12 @@ impl ServingSweep {
             .collect();
         ServingResults {
             layout: self.layout.clone(),
-            key_names: self.axes.iter().filter_map(|a| a.first()).flat_map(|p| p.keys.iter().map(|k| k.0)).collect(),
+            key_names: self
+                .axes
+                .iter()
+                .filter_map(|a| a.first())
+                .flat_map(|p| p.keys.iter().map(|k| k.0))
+                .collect(),
             rows,
             sim_events,
             wall_seconds: results.wall_seconds,
@@ -279,13 +293,13 @@ impl ServingSweep {
 
 /// A critical-tier flip (see [`ServingResults::flips`]).
 #[derive(Debug, Clone)]
-pub struct Flip<'a> {
+struct Flip<'a> {
     /// The flipped row.
-    pub row: &'a ServingRow,
+    row: &'a ServingRow,
     /// The baseline row's critical tier.
-    pub baseline_tier: &'a str,
+    baseline_tier: &'a str,
     /// The flipped row's critical tier.
-    pub tier: &'a str,
+    tier: &'a str,
 }
 
 /// Row keys minus the rate, with the knee (or knee shift) measured over
@@ -295,10 +309,9 @@ pub type Group<T> = (Vec<(&'static str, Key)>, T);
 /// All rows of one serving sweep, in matrix order (appended points last).
 #[derive(Debug, Clone)]
 pub struct ServingResults {
-    /// How the rows are written.
-    pub layout: Layout,
+    layout: Layout,
     /// Key names in axis order (the CSV key columns).
-    pub key_names: Vec<&'static str>,
+    key_names: Vec<&'static str>,
     /// Per-cell rows.
     pub rows: Vec<ServingRow>,
     /// Simulator events executed across all cells (throughput numerator).
@@ -350,7 +363,7 @@ impl ServingResults {
     /// The knee of the group whose `key` is `baseline`, and each other
     /// group's knee shift vs it in requests/second (negative: the knee
     /// moved down). Groups where either knee is unmeasured are omitted.
-    pub fn knee_shifts(&self, key: &str, baseline: &str) -> (Option<u64>, Vec<Group<i64>>) {
+    fn knee_shifts(&self, key: &str, baseline: &str) -> (Option<u64>, Vec<Group<i64>>) {
         let is_base = |g: &[(&str, Key)]| g.iter().any(|(k, v)| *k == key && v.text() == baseline);
         let knees = self.knees();
         let base = knees.iter().find(|g| is_base(&g.0)).and_then(|g| g.1);
@@ -366,7 +379,7 @@ impl ServingResults {
     /// Critical-tier flips, in matrix order: every row whose `key` is not
     /// `baseline` and whose overall critical tier differs from that of the
     /// row equal on every other key whose `key` is `baseline`.
-    pub fn flips(&self, key: &str, baseline: &str) -> Vec<Flip<'_>> {
+    fn flips(&self, key: &str, baseline: &str) -> Vec<Flip<'_>> {
         fn tier(r: &ServingRow) -> Option<&str> {
             r.outcome.as_ref().ok()?.blame.as_ref().map(|b| b.overall.critical_tier.as_str())
         }
@@ -396,34 +409,20 @@ impl ServingResults {
         if let Some(s) = &l.service {
             sections.push(("service", format!("\"{}\"", json_escape(s))));
         }
-        sections.push(("cells", json_array(self.matrix().map(|r| self.json_row(r)))));
+        let cells = self.matrix().map(|r| {
+            let head = format!(
+                "\"index\":{},\"label\":\"{}\",",
+                r.index.unwrap_or_default(),
+                json_escape(&r.label)
+            );
+            json_object(head + &keys_json(&r.keys), r, l.json)
+        });
+        sections.push(("cells", json_array(cells)));
         for post in l.post {
             post.json(self, &mut sections);
         }
         let body: Vec<String> = sections.iter().map(|(k, v)| format!("  \"{k}\": {v}")).collect();
         format!("{{\n{}\n}}\n", body.join(",\n"))
-    }
-
-    fn json_row(&self, r: &ServingRow) -> String {
-        let mut out = format!(
-            "{{\"index\":{},\"label\":\"{}\",{}",
-            r.index.unwrap_or_default(),
-            json_escape(&r.label),
-            keys_json(&r.keys)
-        );
-        match &r.outcome {
-            Ok(o) => {
-                out.push_str(",\"ok\":true");
-                for (name, value) in self.layout.json {
-                    let _ = write!(out, ",\"{name}\":{}", value(r, o));
-                }
-            }
-            Err(e) => {
-                let _ = write!(out, ",\"ok\":false,\"error\":\"{}\"", json_escape(e));
-            }
-        }
-        out.push('}');
-        out
     }
 
     /// Machine-readable CSV: header plus one row per cell, appended points
@@ -503,7 +502,8 @@ impl ServingResults {
     /// emitters this is *not* byte-deterministic (it carries wall-clock);
     /// CI excludes it from artifact diffs.
     pub fn bench_json(&self, suite: &str) -> String {
-        let eps = if self.wall_seconds > 0.0 { self.sim_events as f64 / self.wall_seconds } else { 0.0 };
+        let eps =
+            if self.wall_seconds > 0.0 { self.sim_events as f64 / self.wall_seconds } else { 0.0 };
         format!(
             "{{\"suite\":\"{suite}\",\"cells\":{},\"sim_events\":{},\"wall_seconds\":{:.3},\"events_per_sec\":{:.0}}}\n",
             self.rows.len(),
@@ -519,42 +519,36 @@ impl Post {
         match *self {
             Post::Knees => {
                 let knees = res.knees();
-                let items = knees.iter().map(|(g, k)| format!("{{{},\"knee_rps\":{}}}", keys_json(g), json_opt(*k)));
+                let items = knees
+                    .iter()
+                    .map(|(g, k)| format!("{{{},\"knee_rps\":{}}}", keys_json(g), json_opt(*k)));
                 out.push(("knees", json_array(items)));
             }
             Post::KneeShifts { key, baseline } => {
                 let (base, shifts) = res.knee_shifts(key, baseline);
                 out.push(("baseline_knee_rps", json_opt(base)));
-                let items = shifts.iter().map(|(g, s)| format!("{{{},\"shift_rps\":{s}}}", keys_json(g)));
+                let items =
+                    shifts.iter().map(|(g, s)| format!("{{{},\"shift_rps\":{s}}}", keys_json(g)));
                 out.push(("knee_shifts", json_array(items)));
             }
             Post::Flips { key, baseline } => {
                 let items = res.flips(key, baseline).into_iter().map(|f| {
                     let keys = keys_json(&f.row.keys);
-                    format!("{{{keys},\"baseline_tier\":\"{}\",\"tier\":\"{}\"}}", f.baseline_tier, f.tier)
+                    format!(
+                        "{{{keys},\"baseline_tier\":\"{}\",\"tier\":\"{}\"}}",
+                        f.baseline_tier, f.tier
+                    )
                 });
                 out.push(("flips", json_array(items)));
             }
             Post::RetryPair => {
                 let items = res.appended().map(|r| {
-                    let mut s = format!("{{\"label\":\"{}\",\"budgeted\":{}", json_escape(&r.label), budgeted(r));
-                    match &r.outcome {
-                        Ok(o) => {
-                            let l = &o.load;
-                            let _ = write!(
-                                s,
-                                ",\"ok\":true,\"retry_amplification\":{:.6},\"retries\":{},\"timeouts\":{},\"report\":{}",
-                                l.retry_amplification,
-                                l.retries,
-                                l.client_timeouts,
-                                l.to_json(),
-                            );
-                        }
-                        Err(e) => {
-                            let _ = write!(s, ",\"ok\":false,\"error\":\"{}\"", json_escape(e));
-                        }
-                    }
-                    s + "}"
+                    let head = format!(
+                        "\"label\":\"{}\",\"budgeted\":{}",
+                        json_escape(&r.label),
+                        budgeted(r)
+                    );
+                    json_object(head, r, RETRY_JSON)
                 });
                 out.push(("retry_pair", json_array(items)));
             }
@@ -574,7 +568,8 @@ impl Post {
             }
             Post::KneeShifts { key, baseline } => {
                 for (g, shift) in res.knee_shifts(key, baseline).1 {
-                    let _ = writeln!(out, "knee shift {} vs baseline: {shift:+} rps", group_text(&g));
+                    let _ =
+                        writeln!(out, "knee shift {} vs baseline: {shift:+} rps", group_text(&g));
                 }
             }
             Post::Flips { key, baseline } => {
@@ -585,7 +580,8 @@ impl Post {
                 for f in flips {
                     let rate = f.row.rate().unwrap_or_default();
                     let g = group_text(&f.row.group());
-                    let _ = writeln!(out, "flip {g} @ {rate} rps: {} -> {}", f.baseline_tier, f.tier);
+                    let _ =
+                        writeln!(out, "flip {g} @ {rate} rps: {} -> {}", f.baseline_tier, f.tier);
                 }
             }
             Post::RetryPair => {
@@ -607,6 +603,31 @@ impl Post {
         }
         out
     }
+}
+
+const RETRY_JSON: &[Column] = &[
+    ("retry_amplification", |_, o| format!("{:.6}", o.load.retry_amplification)),
+    ("retries", |_, o| o.load.retries.to_string()),
+    ("timeouts", |_, o| o.load.client_timeouts.to_string()),
+    REPORT,
+];
+
+/// `{HEAD,"ok":true,FIELDS}` for a row that ran, `{HEAD,"ok":false,"error":..}`
+/// for one that did not.
+fn json_object(head: String, r: &ServingRow, fields: &[Column]) -> String {
+    let mut out = format!("{{{head}");
+    match &r.outcome {
+        Ok(o) => {
+            out.push_str(",\"ok\":true");
+            for (name, value) in fields {
+                let _ = write!(out, ",\"{name}\":{}", value(r, o));
+            }
+        }
+        Err(e) => {
+            let _ = write!(out, ",\"ok\":false,\"error\":\"{}\"", json_escape(e));
+        }
+    }
+    out + "}"
 }
 
 fn budgeted(r: &ServingRow) -> bool {
@@ -653,27 +674,35 @@ fn table_line(cells: impl Iterator<Item = (String, Align)>) -> String {
 // ---- axes ------------------------------------------------------------
 
 /// The access-mechanism axis (`mech=<name>`, key `mechanism`).
-pub fn mechanism_axis(mechs: &[Mechanism]) -> Axis<ServingCell> {
+fn mechanism_axis(mechs: &[Mechanism]) -> Axis<ServingCell> {
     mechs
         .iter()
         .map(|&m| {
-            Point::new(format!("mech={m}"), vec![("mechanism", Key::Str(m.to_string()))], move |mut c: ServingCell| {
-                c.cfg = c.cfg.mechanism(m);
-                c
-            })
+            Point::new(
+                format!("mech={m}"),
+                vec![("mechanism", Key::Str(m.to_string()))],
+                move |mut c: ServingCell| {
+                    c.cfg = c.cfg.mechanism(m);
+                    c
+                },
+            )
         })
         .collect()
 }
 
 /// The open-loop Poisson rate axis (`rate=<n>rps`, key `rate_rps`).
-pub fn rate_axis(rates: &[u64]) -> Axis<ServingCell> {
+fn rate_axis(rates: &[u64]) -> Axis<ServingCell> {
     rates
         .iter()
         .map(|&r| {
-            Point::new(format!("rate={r}rps"), vec![("rate_rps", Key::Num(r))], move |mut c: ServingCell| {
-                c.spec.arrival = ArrivalProcess::Poisson { rate_rps: r as f64 };
-                c
-            })
+            Point::new(
+                format!("rate={r}rps"),
+                vec![("rate_rps", Key::Num(r))],
+                move |mut c: ServingCell| {
+                    c.spec.arrival = ArrivalProcess::Poisson { rate_rps: r as f64 };
+                    c
+                },
+            )
         })
         .collect()
 }
@@ -696,7 +725,7 @@ fn tiers_point(prefix: &str, nic: Option<NetConfig>, tiers: TierSpec) -> Point<S
 
 /// The front-end axis: the `nic=off topo=direct` baseline, then each NIC
 /// model (over `net`'s wire knobs) × tier topology (keys `nic`, `topology`).
-pub fn front_end_axis(net: NetConfig, nics: &[NicModelKind], topos: &[TierSpec]) -> Axis<ServingCell> {
+fn front_end_axis(net: NetConfig, nics: &[NicModelKind], topos: &[TierSpec]) -> Axis<ServingCell> {
     let mut axis = vec![tiers_point("nic=off ", Some(NetConfig::default()), TierSpec::direct())];
     for &nic in nics {
         for &tiers in topos {
@@ -709,33 +738,44 @@ pub fn front_end_axis(net: NetConfig, nics: &[NicModelKind], topos: &[TierSpec])
 
 /// The tier-topology axis with the zero-fanout `direct` baseline first
 /// (`topo=<name>`, key `topology`).
-pub fn topology_axis(topos: &[TierSpec]) -> Axis<ServingCell> {
-    std::iter::once(TierSpec::direct()).chain(topos.iter().copied()).map(|t| tiers_point("", None, t)).collect()
+fn topology_axis(topos: &[TierSpec]) -> Axis<ServingCell> {
+    std::iter::once(TierSpec::direct())
+        .chain(topos.iter().copied())
+        .map(|t| tiers_point("", None, t))
+        .collect()
 }
 
 /// The admission-policy axis (`policy=<label>`, key `policy`).
-pub fn policy_axis(policies: &[AdmissionControl]) -> Axis<ServingCell> {
+fn policy_axis(policies: &[AdmissionControl]) -> Axis<ServingCell> {
     policies
         .iter()
         .map(|&p| {
-            Point::new(format!("policy={}", p.label()), vec![("policy", Key::Str(p.label().into()))], move |mut c: ServingCell| {
-                c.spec.admission = p;
-                c
-            })
+            Point::new(
+                format!("policy={}", p.label()),
+                vec![("policy", Key::Str(p.label().into()))],
+                move |mut c: ServingCell| {
+                    c.spec.admission = p;
+                    c
+                },
+            )
         })
         .collect()
 }
 
 /// The serving-fault-plan axis (`plan=<name>`, key `plan`).
-pub fn plan_axis(plans: &[(String, FaultPlan)]) -> Axis<ServingCell> {
+fn plan_axis(plans: &[(String, FaultPlan)]) -> Axis<ServingCell> {
     plans
         .iter()
         .map(|(name, plan)| {
             let plan = *plan;
-            Point::new(format!("plan={name}"), vec![("plan", Key::Str(name.clone()))], move |mut c: ServingCell| {
-                c.spec.faults = plan;
-                c
-            })
+            Point::new(
+                format!("plan={name}"),
+                vec![("plan", Key::Str(name.clone()))],
+                move |mut c: ServingCell| {
+                    c.spec.faults = plan;
+                    c
+                },
+            )
         })
         .collect()
 }
@@ -745,7 +785,7 @@ pub fn plan_axis(plans: &[(String, FaultPlan)]) -> Axis<ServingCell> {
 /// `policy=retry`, `plan=<name>`). The device, not the dispatcher,
 /// misbehaves here — the pair always runs this fixed latency-spike plan,
 /// whatever fault plan the base platform carries.
-pub fn retry_pair() -> Axis<ServingCell> {
+fn retry_pair() -> Axis<ServingCell> {
     let pair = [
         ("budgeted", RetryPolicy::budgeted(Span::from_us(8), 4, 0.1, Span::from_us(2))),
         ("unbudgeted", RetryPolicy::unbudgeted(Span::from_us(8), 4, Span::from_us(2))),
@@ -766,7 +806,7 @@ pub fn retry_pair() -> Axis<ServingCell> {
 
 /// The corpus axis: each point replaces the whole cell with a compiled
 /// scenario's (tag `<name>`, keys `scenario`, `fingerprint`).
-pub fn scenario_axis(scenarios: &[Scenario]) -> Axis<ServingCell> {
+fn scenario_axis(scenarios: &[Scenario]) -> Axis<ServingCell> {
     scenarios
         .iter()
         .map(|sc| {
@@ -791,8 +831,10 @@ const P99_NS: Column = ("p99_ns", |_, o| o.load.latency.p99.as_ns().to_string())
 const P999_NS: Column = ("p999_ns", |_, o| o.load.latency.p999.as_ns().to_string());
 const REPORT: Column = ("report", |_, o| o.load.to_json());
 
-const T_GOODPUT: TableColumn = ("goodput", Align::Right(12), |_, o| format!("{:.0}", o.load.goodput_rps));
-const T_SHED: TableColumn = ("shed%", Align::Right(7), |_, o| format!("{:.2}%", 100.0 * o.load.shed_fraction()));
+const T_GOODPUT: TableColumn =
+    ("goodput", Align::Right(12), |_, o| format!("{:.0}", o.load.goodput_rps));
+const T_SHED: TableColumn =
+    ("shed%", Align::Right(7), |_, o| format!("{:.2}%", 100.0 * o.load.shed_fraction()));
 const T_P50: TableColumn = ("p50", Align::Right(10), |_, o| o.load.latency.p50.to_string());
 const T_P99: TableColumn = ("p99", Align::Right(10), |_, o| o.load.latency.p99.to_string());
 const RATE_12: KeyColumn = ("rate_rps", Align::Right(12), &["rate_rps"]);
@@ -828,7 +870,12 @@ fn blame(o: &ServingOutcome) -> &BlameReport {
 
 /// The load preset: mechanism × offered rate, one throughput–latency curve
 /// per mechanism with its saturation knee.
-pub fn load_sweep(service: &str, base: ServingCell, mechs: &[Mechanism], rates: &[u64]) -> ServingSweep {
+pub fn load_sweep(
+    service: &str,
+    base: ServingCell,
+    mechs: &[Mechanism],
+    rates: &[u64],
+) -> ServingSweep {
     let title = format!(
         "# load sweep: service={service} arrival=poisson requests={} queue={} (knee = goodput >= {:.0}% of nominal rate)",
         base.spec.requests,
@@ -920,8 +967,12 @@ pub fn net_sweep(
             T_SHED,
             T_P50,
             T_P99,
-            ("e2e_p99", Align::Right(10), |_, o| o.net.as_ref().map_or("-".into(), |n| n.e2e.p99.to_string())),
-            ("wire_p99", Align::Right(10), |_, o| o.net.as_ref().map_or("-".into(), |n| n.wire.p99.to_string())),
+            ("e2e_p99", Align::Right(10), |_, o| {
+                o.net.as_ref().map_or("-".into(), |n| n.e2e.p99.to_string())
+            }),
+            ("wire_p99", Align::Right(10), |_, o| {
+                o.net.as_ref().map_or("-".into(), |n| n.wire.p99.to_string())
+            }),
         ],
         group: &["nic", "topology"],
         post: &[Post::Knees, Post::KneeShifts { key: "nic", baseline: "off" }],
@@ -967,9 +1018,13 @@ pub fn blame_sweep(
         ],
         table: &[
             ("tier", Align::Right(14), |_, o| blame(o).overall.critical_tier.clone()),
-            ("share", Align::Right(7), |_, o| format!("{:.1}%", 100.0 * critical_share(&blame(o).overall))),
+            ("share", Align::Right(7), |_, o| {
+                format!("{:.1}%", 100.0 * critical_share(&blame(o).overall))
+            }),
             ("tail tier", Align::Right(14), |_, o| blame(o).tail.critical_tier.clone()),
-            ("share", Align::Right(7), |_, o| format!("{:.1}%", 100.0 * critical_share(&blame(o).tail))),
+            ("share", Align::Right(7), |_, o| {
+                format!("{:.1}%", 100.0 * critical_share(&blame(o).tail))
+            }),
             ("trunc", Align::Right(6), |_, o| blame(o).truncated.to_string()),
         ],
         group: &["mechanism", "topology"],
@@ -1049,6 +1104,11 @@ pub fn overload_sweep(service: &str, base: ServingCell, m: &MatrixSpec) -> Servi
 /// The scenario-matrix preset: every compiled scenario (corpus order) ×
 /// every mechanism, so one table answers "which mechanism survives which
 /// world". A scenario that declares no SLO is not judged.
+///
+/// # Panics
+///
+/// When `scenarios` is empty ([`load_scenario_dir`] never returns an
+/// empty corpus).
 pub fn scenario_matrix(scenarios: &[Scenario], mechs: &[Mechanism]) -> ServingSweep {
     let names: std::collections::BTreeSet<&str> = scenarios.iter().map(Scenario::name).collect();
     let layout = Layout {
@@ -1097,7 +1157,8 @@ pub fn scenario_matrix(scenarios: &[Scenario], mechs: &[Mechanism]) -> ServingSw
 /// attached — a corpus member that drifts from the schema is an error,
 /// not a skip.
 pub fn load_scenario_dir(dir: &std::path::Path) -> Result<Vec<Scenario>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut files: Vec<std::path::PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "toml"))
@@ -1110,8 +1171,7 @@ pub fn load_scenario_dir(dir: &std::path::Path) -> Result<Vec<Scenario>, String>
     for path in files {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let sc = Scenario::from_toml(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let sc = Scenario::from_toml(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         out.push(sc);
     }
     Ok(out)
@@ -1191,7 +1251,14 @@ mod tests {
 
     fn tiny_net() -> ServingSweep {
         let nics = [NicModelKind::dma(), NicModelKind::nanopu()];
-        net_sweep("echo", tiny_base(60, 16), NetConfig::on(), &nics, &[TierSpec::rpc()], &[200_000, 5_000_000])
+        net_sweep(
+            "echo",
+            tiny_base(60, 16),
+            NetConfig::on(),
+            &nics,
+            &[TierSpec::rpc()],
+            &[200_000, 5_000_000],
+        )
     }
 
     #[test]
@@ -1220,7 +1287,10 @@ mod tests {
         let results = tiny_net().run(&SweepOptions::jobs(2));
         let knees = results.knees();
         assert_eq!(knees.len(), 3, "baseline + two NIC front ends");
-        assert_eq!(knees[0].0, [("nic", Key::Str("off".into())), ("topology", Key::Str("direct".into()))]);
+        assert_eq!(
+            knees[0].0,
+            [("nic", Key::Str("off".into())), ("topology", Key::Str("direct".into()))]
+        );
         let (base, shifts) = results.knee_shifts("nic", "off");
         assert!(base.is_some(), "200k rps must keep up");
         for (g, shift) in shifts {
@@ -1235,7 +1305,13 @@ mod tests {
     }
 
     fn tiny_blame() -> ServingSweep {
-        blame_sweep("echo", tiny_base(80, 16), &[Mechanism::OnDemand], &[TierSpec::fanout(4)], &[200_000, 2_000_000])
+        blame_sweep(
+            "echo",
+            tiny_base(80, 16),
+            &[Mechanism::OnDemand],
+            &[TierSpec::fanout(4)],
+            &[200_000, 2_000_000],
+        )
     }
 
     #[test]
@@ -1252,12 +1328,22 @@ mod tests {
         let results = tiny_blame().run(&SweepOptions::jobs(2));
         let hops = |i: usize| {
             let o = results.rows[i].outcome.as_ref().expect(EXPECT_RAN);
-            o.blame.as_ref().expect("blame harvested").overall.hops.iter().map(|h| h.hop.clone()).collect::<Vec<_>>()
+            o.blame
+                .as_ref()
+                .expect("blame harvested")
+                .overall
+                .hops
+                .iter()
+                .map(|h| h.hop.clone())
+                .collect::<Vec<_>>()
         };
         // The causal event class must resolve the join: some shard hop
         // appears in the fan-out cell's blame table.
         let fan = hops(2);
-        assert!(fan.iter().any(|h| h.starts_with("rpc.shard")), "fan-out blame must name shard hops, got {fan:?}");
+        assert!(
+            fan.iter().any(|h| h.starts_with("rpc.shard")),
+            "fan-out blame must name shard hops, got {fan:?}"
+        );
         assert!(hops(0).iter().all(|h| !h.starts_with("rpc.")));
         // Every request decomposes exactly; the report exists for all cells.
         for r in &results.rows {
@@ -1276,7 +1362,11 @@ mod tests {
             ("calm".into(), FaultPlan::none()),
             (
                 "freeze".into(),
-                FaultPlan::none().with_freeze_windows(Span::from_us(60), Span::from_us(25), Span::from_us(20)),
+                FaultPlan::none().with_freeze_windows(
+                    Span::from_us(60),
+                    Span::from_us(25),
+                    Span::from_us(20),
+                ),
             ),
         ];
         m.rates = vec![2_000_000];
@@ -1299,9 +1389,14 @@ mod tests {
     #[test]
     fn budget_bounds_amplification_where_unbudgeted_amplifies() {
         let results = tiny_overload().run(&SweepOptions::jobs(2));
-        let pair: Vec<_> = results.appended().map(|r| &r.outcome.as_ref().expect("ran").load).collect();
+        let pair: Vec<_> =
+            results.appended().map(|r| &r.outcome.as_ref().expect("ran").load).collect();
         let (budgeted, unbudgeted) = (pair[0], pair[1]);
-        assert!(budgeted.retry_amplification < 1.2, "budgeted amplification {}", budgeted.retry_amplification);
+        assert!(
+            budgeted.retry_amplification < 1.2,
+            "budgeted amplification {}",
+            budgeted.retry_amplification
+        );
         assert!(
             unbudgeted.retry_amplification > budgeted.retry_amplification,
             "unbudgeted {} must amplify beyond budgeted {}",

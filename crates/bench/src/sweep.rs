@@ -264,7 +264,7 @@ impl Key {
 
 /// One point on a sweep axis: the tag it appends to a cell label, the row
 /// keys it sets, and the setter it applies to the cell state `S`.
-pub struct Point<S> {
+pub(crate) struct Point<S> {
     /// Label fragment (`mech=swq`, `rate=250000rps`, ...; empty adds none).
     pub tag: String,
     /// Row keys this point sets, in column order.
@@ -275,7 +275,7 @@ pub struct Point<S> {
 impl<S> Point<S> {
     /// A point tagging labels with `tag`, keying rows with `keys`, and
     /// editing the cell state with `set`.
-    pub fn new(
+    pub(crate) fn new(
         tag: impl Into<String>,
         keys: Vec<(&'static str, Key)>,
         set: impl Fn(S) -> S + 'static,
@@ -285,12 +285,12 @@ impl<S> Point<S> {
 }
 
 /// An ordered list of points; a sweep is the product of its axes.
-pub type Axis<S> = Vec<Point<S>>;
+pub(crate) type Axis<S> = Vec<Point<S>>;
 
 /// One combination of an [`axis_product`]: the label, the row keys and the
 /// state after every point's setter ran, in axis order.
 #[derive(Clone)]
-pub struct Combo<S> {
+pub(crate) struct Combo<S> {
     /// Base label plus each point's tag, space-separated.
     pub label: String,
     /// Every point's keys, in axis order.
@@ -301,7 +301,7 @@ pub struct Combo<S> {
 
 /// The cartesian product of `axes` over `base`, first axis outermost (the
 /// deterministic matrix order every emitter follows).
-pub fn axis_product<S: Clone>(label: &str, base: S, axes: &[Axis<S>]) -> Vec<Combo<S>> {
+pub(crate) fn axis_product<S: Clone>(label: &str, base: S, axes: &[Axis<S>]) -> Vec<Combo<S>> {
     let mut combos = vec![Combo { label: label.to_string(), keys: Vec::new(), state: base }];
     for axis in axes {
         combos = combos

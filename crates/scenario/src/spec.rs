@@ -97,9 +97,10 @@ pub struct PlatformSpec {
 }
 
 /// The overload matrix a scenario can carry: admission policy × fault
-/// plan × offered rate, plus the closed-loop retry pair. Defaults mirror
-/// `OverloadSweepSpec::new` in `kus-bench`, so `[matrix]` with no keys is
-/// today's overload sweep.
+/// plan × offered rate, plus the closed-loop retry pair. The default is the
+/// one overload default set: `figures overload` takes its axes (and its
+/// `--policies` parameters) from it, so `[matrix]` with no keys is the
+/// flagless overload sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixSpec {
     /// Admission-policy axis.
@@ -1281,25 +1282,18 @@ fn parse_matrix(t: &Table) -> Result<MatrixSpec, ScenarioError> {
     let mut r = Reader::new(t, "matrix");
     let mut m = MatrixSpec::default();
     if let Some(names) = r.str_array_opt("policies")? {
-        let mut policies = Vec::with_capacity(names.len());
-        for name in &names {
-            policies.push(match name.as_str() {
-                "static" => AdmissionControl::Static,
-                "deadline" => AdmissionControl::DeadlineAware {
-                    target: Span::from_us(2),
-                    interval: Span::from_us(5),
-                },
-                "adaptive" => {
-                    AdmissionControl::AdaptiveConcurrency { initial: 4, max: 16, window: 16 }
-                }
-                other => {
-                    return Err(r.field_err(
+        // Policy names take the default matrix's parameters.
+        let policies = names
+            .iter()
+            .map(|name| {
+                m.policies.iter().find(|p| p.label() == name).copied().ok_or_else(|| {
+                    r.field_err(
                         "policies",
-                        format!("unknown policy `{other}` (static | deadline | adaptive)"),
-                    ));
-                }
-            });
-        }
+                        format!("unknown policy `{name}` (static | deadline | adaptive)"),
+                    )
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         m.policies = policies;
     }
     if let Some(rates) = r.u64_array_opt("rates")? {

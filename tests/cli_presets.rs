@@ -57,8 +57,16 @@ fn run_figures(tag: &str, args: &[&str], jobs: usize) -> (String, String, String
 fn assert_pinned(tag: &str, args: &[&str], stem: &str) {
     for jobs in [1, 4] {
         let (stdout, json, csv) = run_figures(tag, args, jobs);
-        assert_eq!(stdout, committed(&format!("{stem}.txt")), "{stem}.txt diverged at --jobs {jobs}");
-        assert_eq!(json, committed(&format!("{stem}.json")), "{stem}.json diverged at --jobs {jobs}");
+        assert_eq!(
+            stdout,
+            committed(&format!("{stem}.txt")),
+            "{stem}.txt diverged at --jobs {jobs}"
+        );
+        assert_eq!(
+            json,
+            committed(&format!("{stem}.json")),
+            "{stem}.json diverged at --jobs {jobs}"
+        );
         assert_eq!(csv, committed(&format!("{stem}.csv")), "{stem}.csv diverged at --jobs {jobs}");
     }
 }
@@ -76,7 +84,17 @@ fn load_preset_reproduces_pinned_artifacts() {
 fn net_preset_reproduces_pinned_artifacts() {
     assert_pinned(
         "net",
-        &["net", "--service", "echo", "--topos", "rpc,fanout4", "--rates", "250k,1m,3m", "--requests", "200"],
+        &[
+            "net",
+            "--service",
+            "echo",
+            "--topos",
+            "rpc,fanout4",
+            "--rates",
+            "250k,1m,3m",
+            "--requests",
+            "200",
+        ],
         "artifacts/sweeps/net",
     );
 }
@@ -85,7 +103,17 @@ fn net_preset_reproduces_pinned_artifacts() {
 fn blame_preset_reproduces_pinned_artifacts() {
     assert_pinned(
         "blame",
-        &["blame", "--service", "echo", "--topos", "fanout4", "--rates", "250k,1m,2m", "--requests", "200"],
+        &[
+            "blame",
+            "--service",
+            "echo",
+            "--topos",
+            "fanout4",
+            "--rates",
+            "250k,1m,2m",
+            "--requests",
+            "200",
+        ],
         "artifacts/sweeps/blame",
     );
 }
@@ -108,12 +136,16 @@ fn flagless_overload_preset_reproduces_committed_artifacts() {
 fn overload_faults_flag_reaches_the_matrix_cells() {
     let dir = scratch_dir("overload-faults");
     let plan = dir.join("plan.toml");
-    std::fs::write(&plan, "latency_spike_prob = 0.2\nlatency_spike_ns = 5000\n").expect("plan written");
-    let (stdout, json, _) = run_figures("overload-faults", &["overload", "--faults", plan.to_str().unwrap()], 2);
+    std::fs::write(&plan, "latency_spike_prob = 0.2\nlatency_spike_ns = 5000\n")
+        .expect("plan written");
+    let (stdout, json, _) =
+        run_figures("overload-faults", &["overload", "--faults", plan.to_str().unwrap()], 2);
     let _ = std::fs::remove_dir_all(&dir);
     assert_ne!(json, committed("artifacts/overload/overload.json"), "--faults was ignored");
-    let split = |s: &str| s.lines().map(String::from).partition::<Vec<_>, _>(|l| l.starts_with("retry "));
-    let ((retry, rows), (pinned_retry, pinned_rows)) = (split(&stdout), split(&committed("artifacts/overload/overload.txt")));
+    let split =
+        |s: &str| s.lines().map(String::from).partition::<Vec<_>, _>(|l| l.starts_with("retry "));
+    let ((retry, rows), (pinned_retry, pinned_rows)) =
+        (split(&stdout), split(&committed("artifacts/overload/overload.txt")));
     assert_ne!(rows, pinned_rows, "matrix rows must see the plan");
     assert_eq!(retry.len(), 2);
     assert_eq!(retry, pinned_retry, "the retry pair runs its own fixed plan");

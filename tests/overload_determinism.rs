@@ -81,10 +81,7 @@ fn committed_overload_artifacts_reproduce() {
             .requests(400)
             .queue_capacity(24)
             .slo(SloSpec::none().p99(Span::from_us(46))),
-        cfg: PlatformConfig::paper_default()
-            .without_replay_device()
-            .cores(2)
-            .fibers_per_core(4),
+        cfg: PlatformConfig::paper_default().without_replay_device().cores(2).fibers_per_core(4),
         service: service_factory(|| EchoService::new(4096)),
     };
     let results = overload_sweep("echo", base, &MatrixSpec::default()).run(&SweepOptions::jobs(2));

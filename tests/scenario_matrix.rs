@@ -80,7 +80,8 @@ fn overload_defaults_scenario_reproduces_committed_artifacts() {
         .expect("overload-defaults.toml is committed");
     let sc = Scenario::from_toml(&text).expect("overload-defaults compiles");
     let m = sc.matrix().expect("overload-defaults carries a [matrix]");
-    let results = overload_sweep(sc.service_name(), ServingCell::from(&sc), m).run(&SweepOptions::jobs(2));
+    let results =
+        overload_sweep(sc.service_name(), ServingCell::from(&sc), m).run(&SweepOptions::jobs(2));
     assert_eq!(results.errors().count(), 0, "{:?}", results.errors().collect::<Vec<_>>());
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/overload");
