@@ -21,9 +21,10 @@
 use std::fmt::Write as _;
 
 use kus_core::prelude::*;
+use kus_sim::trace::json_escape;
 use kus_workloads::{Microbench, MicrobenchConfig};
 
-use crate::sweep::{json_escape, run_cells, SweepCell, SweepOptions};
+use crate::sweep::{run_cells, SweepCell, SweepOptions};
 
 /// One named profiled scenario plus the verdicts it is expected to fire.
 pub struct ProfileScenario {

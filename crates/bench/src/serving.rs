@@ -4,19 +4,19 @@
 //! a µs-scale device under load — and every serving subcommand of
 //! `figures` asks it over a different matrix. Each is a [`ServingSweep`]:
 //!
-//! - **axes** — ordered lists of [`Point`]s over a base [`ServingCell`]
+//! - **axes** — ordered lists of `Point`s over a base [`ServingCell`]
 //!   (load spec, platform, service). A point carries a label tag, the row
 //!   keys it sets, and a setter; net's `nic=off topo=direct` baseline,
 //!   blame's `direct` topology and a whole corpus [`Scenario`] are each
-//!   just a point. The axes expand as one [`axis_product`] onto the
+//!   just a point. The axes expand as one `axis_product` onto the
 //!   [`run_cells`] pool; *appended* points (the closed-loop retry pair) run
 //!   alongside the product without joining it;
 //! - **rows** — one [`ServingRow`] per cell, keyed by its points, holding
 //!   the [`LoadReport`] plus the [`NetReport`]/[`BlameReport`] its layout
 //!   reads;
-//! - **one writer** — a [`Layout`] of JSON, CSV and table columns renders
+//! - **one writer** — a `Layout` of JSON, CSV and table columns renders
 //!   every row the same way in all three formats;
-//! - **post-processors** — [`Post`] summaries over the rows: saturation
+//! - **post-processors** — `Post` summaries over the rows: saturation
 //!   knees, knee shifts vs a baseline, critical-tier flips, and the retry
 //!   pair.
 //!
@@ -36,11 +36,10 @@ use kus_load::{
 };
 use kus_scenario::{MatrixSpec, Scenario};
 use kus_sim::fault::FaultPlan;
+use kus_sim::trace::json_escape;
 use kus_sim::Span;
 
-use crate::sweep::{
-    axis_product, csv_field, json_escape, run_cells, Axis, Key, Point, SweepCell, SweepOptions,
-};
+use crate::sweep::{axis_product, csv_field, run_cells, Axis, Key, Point, SweepCell, SweepOptions};
 
 /// Goodput must stay within this fraction of the offered rate for a cell
 /// to count as "keeping up" (see [`ServingResults::knees`]).
@@ -91,12 +90,12 @@ pub struct ServingRow {
 
 impl ServingRow {
     /// The row's value for key `name`.
-    pub fn key(&self, name: &str) -> Option<&Key> {
+    fn key(&self, name: &str) -> Option<&Key> {
         self.keys.iter().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
     /// The row's value for key `name` as text (empty when absent).
-    pub fn text(&self, name: &str) -> String {
+    fn text(&self, name: &str) -> String {
         self.key(name).map(Key::text).unwrap_or_default()
     }
 
@@ -332,7 +331,7 @@ impl ServingResults {
     }
 
     /// The appended-point rows.
-    pub fn appended(&self) -> impl Iterator<Item = &ServingRow> {
+    fn appended(&self) -> impl Iterator<Item = &ServingRow> {
         self.rows.iter().filter(|r| r.index.is_none())
     }
 
@@ -1045,7 +1044,7 @@ fn recovery_verdict(r: &ServingRow, o: &ServingOutcome) -> String {
 /// The overload preset: admission policy × fault plan × offered rate from
 /// `m` (a `[matrix]` section, or [`MatrixSpec::default`] for `figures
 /// overload`), each cell judged graceful/brownout/collapse/unstable by
-/// [`LoadReport::recovery`], plus the closed-loop [`retry_pair`] when `m`
+/// [`LoadReport::recovery`], plus the closed-loop retry pair when `m`
 /// asks for it.
 pub fn overload_sweep(service: &str, base: ServingCell, m: &MatrixSpec) -> ServingSweep {
     let title = format!(

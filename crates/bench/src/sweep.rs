@@ -39,7 +39,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use kus_core::prelude::*;
-pub(crate) use kus_sim::trace::json_escape;
+use kus_sim::trace::json_escape;
 use kus_workloads::figures::{Figure, Quality, RegistryEntry};
 
 /// One expanded matrix cell: a label plus either a runnable experiment or
@@ -186,7 +186,7 @@ impl SweepSpec {
     }
 
     /// Expands the matrix into cells, in matrix order (the axis order
-    /// above, each a point list on the [`axis_product`]). Cells whose
+    /// above, each a point list on the `axis_product`). Cells whose
     /// configuration fails [`PlatformConfig::validate`] become error cells
     /// (they report an error row; they never abort the sweep).
     pub fn expand(&self) -> Vec<SweepCell> {
