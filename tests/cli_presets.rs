@@ -18,7 +18,7 @@ fn committed(rel: &str) -> String {
         .unwrap_or_else(|e| panic!("missing committed artifact {rel}: {e}"))
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("kus-cli-presets-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
@@ -27,7 +27,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// Runs `figures ARGS --jobs N --json .. --csv ..` from the repo root and
 /// returns (stdout, json, csv).
 fn run_figures(tag: &str, args: &[&str], jobs: usize) -> (String, String, String) {
-    let dir = scratch_dir(&format!("{tag}-j{jobs}"));
+    let dir = temp_dir(&format!("{tag}-j{jobs}"));
     let (json, csv) = (dir.join("out.json"), dir.join("out.csv"));
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .current_dir(repo_root())
@@ -134,7 +134,7 @@ fn flagless_overload_preset_reproduces_committed_artifacts() {
 /// above).
 #[test]
 fn overload_faults_flag_reaches_the_matrix_cells() {
-    let dir = scratch_dir("overload-faults");
+    let dir = temp_dir("overload-faults");
     let plan = dir.join("plan.toml");
     std::fs::write(&plan, "latency_spike_prob = 0.2\nlatency_spike_ns = 5000\n")
         .expect("plan written");
