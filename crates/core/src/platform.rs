@@ -29,7 +29,7 @@ use kus_mem::{Backing, LINE_BYTES};
 use kus_pcie::dma::DmaEngine;
 use kus_pcie::link::{LinkDir, PcieLink};
 use kus_pcie::tlp::Tlp;
-use kus_sim::{Categories, FaultInjector, Sim, SimRng, Tracer};
+use kus_sim::{Categories, FaultInjector, Observe, Sim, SimRng, Tracer};
 use kus_swq::ring::QueuePair;
 
 use crate::config::{ConfigError, PlatformConfig};
@@ -43,6 +43,21 @@ use crate::workload::Workload;
 #[derive(Debug, Clone)]
 pub struct Platform {
     cfg: PlatformConfig,
+}
+
+/// What a run's measured phase observes, from its configuration and the
+/// categories its workload's reports read; `None` leaves the tracer off.
+/// The profiler needs the whole event stream, so profiling buffers
+/// everything, as `trace` does; otherwise only the subscribed categories
+/// are buffered (the hash and count still cover every event).
+fn observe(cfg: &PlatformConfig, subscribed: Categories) -> Option<Observe> {
+    let full = cfg.trace || cfg.profile;
+    (full || cfg.causal || !subscribed.is_empty()).then_some(Observe {
+        deep: cfg.trace_deep,
+        profile: cfg.profile,
+        causal: cfg.causal,
+        buffered: if full { Categories::ALL } else { subscribed },
+    })
 }
 
 enum Phase {
@@ -76,14 +91,8 @@ impl Platform {
         w.prepare(self.cfg.cores * self.cfg.smt, self.cfg.fibers_per_core);
         w.build(&mut dataset);
         // Only the measured (final) phase is traced: the record phase of a
-        // two-phase run is methodology scaffolding, not a measurement. The
-        // profiler needs the whole event stream, so profiling implies
-        // tracing everything; otherwise only what the workload's reports
-        // read is buffered (the hash and count still cover every event).
-        let full = self.cfg.trace || self.cfg.profile;
-        let subscribed = w.subscribes();
-        let traced = (full || self.cfg.causal || !subscribed.is_empty())
-            .then_some(if full { Categories::ALL } else { subscribed });
+        // two-phase run is methodology scaffolding, not a measurement.
+        let traced = observe(&self.cfg, w.subscribes());
         match self.cfg.backing {
             Backing::Dram => self.run_phase(w, &dataset, Phase::Dram, traced),
             Backing::Device => {
@@ -114,7 +123,7 @@ impl Platform {
         w: &mut dyn Workload,
         dataset: &Dataset,
         phase: Phase,
-        traced: Option<Categories>,
+        traced: Option<Observe>,
     ) -> RunReport {
         let cfg = &self.cfg;
         // Pre-size the event slab for the platform's steady state: every
@@ -128,16 +137,7 @@ impl Platform {
         // The tracer observes through a shared clock handle; it never
         // schedules events or draws randomness, so a traced run's report is
         // identical to an untraced one (locked down by tests/properties.rs).
-        let tracer = match traced {
-            Some(buffered) => {
-                let t = Tracer::buffering(sim.now_handle(), buffered);
-                t.set_verbose(cfg.trace_deep);
-                t.set_profile(cfg.profile);
-                t.set_causal(cfg.causal);
-                t
-            }
-            None => Tracer::off(),
-        };
+        let tracer = traced.map_or_else(Tracer::off, |o| Tracer::on(sim.now_handle(), o));
 
         // One injector per phase, derived from the run seed: record and
         // replay phases see the same fault schedule, and an inert plan
@@ -457,9 +457,9 @@ impl Platform {
             fr
         });
 
-        let (trace, profile) = if let Some(buffered) = traced {
+        let (trace, profile) = if let Some(observe) = traced {
             let events = tracer.take_events();
-            if buffered == Categories::ALL {
+            if observe.buffered == Categories::ALL {
                 debug_assert_eq!(tracer.hash(), kus_sim::trace::hash_events(&events));
             }
             // Profiled runs classify the measured window [t0, now] per

@@ -30,7 +30,7 @@ use kus_mem::uncore::CreditQueue;
 use kus_mem::LineAddr;
 use kus_sim::event::EventFn;
 use kus_sim::stats::Counter;
-use kus_sim::trace::Category;
+use kus_sim::trace::{Category, Class};
 use kus_sim::{Clock, Sim, Time};
 
 use crate::ops::{Op, OpId, OpKind};
@@ -229,7 +229,7 @@ impl Core {
     /// Attaches a tracer to the core's cache structures (L1 evictions and
     /// the LFB pool), tracked under this core's id. The core keeps a copy
     /// for the profiler's cycle-accounting spans (`cpu.work`, `cpu.soft`,
-    /// `cpu.lfbwait`), emitted only when `Tracer::is_profile()`.
+    /// `cpu.lfbwait`), emitted only when the tracer emits `Class::Profile`.
     pub fn set_tracer(&mut self, tracer: kus_sim::Tracer) {
         self.tracer = tracer.clone();
         self.l1.set_tracer(tracer.clone(), self.id as u32);
@@ -439,7 +439,7 @@ impl Core {
                 sim.schedule_in(d, move |sim| {
                     {
                         let c = this2.borrow();
-                        if c.tracer.is_profile() {
+                        if c.tracer.emits(Class::Profile) {
                             c.tracer.complete_since(Category::Cpu, "cpu.work", c.id as u32, start, insts as u64);
                         }
                     }
@@ -458,7 +458,7 @@ impl Core {
                 sim.schedule_at(done_at, move |sim| {
                     {
                         let c = this2.borrow();
-                        if c.tracer.is_profile() {
+                        if c.tracer.emits(Class::Profile) {
                             let name = c.states.get(&id).and_then(|st| st.profile).unwrap_or("cpu.soft");
                             c.tracer.complete_since(Category::Cpu, name, c.id as u32, start, 0);
                         }
@@ -536,7 +536,7 @@ impl Core {
         if let Some(since) = waited_since {
             if !matches!(route, Route::NeedSlot) {
                 let c = this.borrow();
-                if c.tracer.is_profile() {
+                if c.tracer.emits(Class::Profile) {
                     c.tracer.complete_since(Category::Cpu, "cpu.lfbwait", c.id as u32, since, line.index());
                 }
             }

@@ -51,4 +51,4 @@ pub use event::{RunOutcome, Sim};
 pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use rng::SimRng;
 pub use time::{Clock, Span, Time};
-pub use trace::{Categories, Category, FlowArrow, OccupancyTimeline, Phase, TraceEvent, Tracer};
+pub use trace::{Categories, Category, Class, FlowArrow, Observe, OccupancyTimeline, Phase, TraceEvent, Tracer};

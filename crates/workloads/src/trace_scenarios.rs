@@ -51,7 +51,7 @@ pub fn run_trace_scenario(name: &str, seed: u64) -> Option<RunReport> {
 }
 
 /// [`run_trace_scenario`] with control over the deep per-access event
-/// class (only effective when built with the `trace` cargo feature).
+/// class, which adds its events to the stream (and so to the hash).
 pub fn run_trace_scenario_opts(name: &str, seed: u64, deep: bool) -> Option<RunReport> {
     trace_scenario_experiment(name, seed, deep).map(|e| e.run())
 }

@@ -332,15 +332,17 @@ fn inert_fault_plan_changes_nothing() {
     assert!(inert.faults.is_none(), "inert plan must not enable the fault layer");
 }
 
-/// Tracing is inert: enabling the tracer changes nothing about a run
-/// except the presence of the `trace` field. Across seeded cases spanning
-/// mechanisms and fault plans, every outcome field of the report —
-/// timing, work, accesses, switches, doorbells, occupancy maxima, fault
-/// counters — is identical with tracing on and off, and the traced twin of
+/// Tracing is inert: enabling the tracer, with or without the deep
+/// per-access class, changes nothing about a run except the presence of
+/// the `trace` field. Across seeded cases spanning mechanisms and fault
+/// plans, every outcome field of the report — timing, work, accesses,
+/// switches, doorbells, occupancy maxima, fault counters — is identical
+/// with tracing off, on, and deep, and the traced twin of
 /// a traced run reproduces the same event hash (the tracer neither
 /// schedules events nor draws randomness).
 #[test]
 fn tracing_never_perturbs_the_run() {
+    use kus_core::{Platform, PlatformConfig};
     use kus_workloads::trace_scenarios::run_trace_scenario;
     for_cases("trace-inert", 4, |case, rng| {
         let seed = rng.next_u64();
@@ -350,34 +352,31 @@ fn tracing_never_perturbs_the_run() {
             scenarios()[case as usize % scenarios().len()].plan
         };
         let c = ChaosConfig { seed, iters_per_fiber: 15, ..ChaosConfig::default() };
-        let traced = {
+        let run = |observe: fn(PlatformConfig) -> PlatformConfig| {
             let mut w = chaos_workload(c);
-            let mut cfg = chaos_platform(c).traced();
+            let mut cfg = observe(chaos_platform(c));
             if plan.is_active() {
                 cfg = cfg.faults(plan);
             }
-            kus_core::Platform::try_new(cfg).expect("valid config").run(&mut w)
+            Platform::try_new(cfg).expect("valid config").run(&mut w)
         };
-        let plain = {
-            let mut w = chaos_workload(c);
-            let mut cfg = chaos_platform(c);
-            if plan.is_active() {
-                cfg = cfg.faults(plan);
-            }
-            kus_core::Platform::try_new(cfg).expect("valid config").run(&mut w)
-        };
+        let plain = run(|cfg| cfg);
         assert!(plain.trace.is_none(), "case {case}: untraced run grew a trace");
-        let t = traced.trace.as_ref().unwrap_or_else(|| panic!("case {case}: no trace"));
-        assert!(t.count > 0, "case {case}: empty trace");
-        assert_eq!(traced.elapsed, plain.elapsed, "case {case}: elapsed");
-        assert_eq!(traced.work_insts, plain.work_insts, "case {case}: work");
-        assert_eq!(traced.accesses, plain.accesses, "case {case}: accesses");
-        assert_eq!(traced.writes, plain.writes, "case {case}: writes");
-        assert_eq!(traced.switches, plain.switches, "case {case}: switches");
-        assert_eq!(traced.doorbells, plain.doorbells, "case {case}: doorbells");
-        assert_eq!(traced.lfb_max, plain.lfb_max, "case {case}: lfb max");
-        assert_eq!(traced.device_path_max, plain.device_path_max, "case {case}: uncore max");
-        assert_eq!(traced.faults, plain.faults, "case {case}: fault counters");
+        let traced = run(PlatformConfig::traced);
+        let deep = run(PlatformConfig::trace_deep);
+        for (class, r) in [("traced", &traced), ("deep", &deep)] {
+            let t = r.trace.as_ref().unwrap_or_else(|| panic!("case {case}: no {class} trace"));
+            assert!(t.count > 0, "case {case}: empty {class} trace");
+            assert_eq!(r.elapsed, plain.elapsed, "case {case} {class}: elapsed");
+            assert_eq!(r.work_insts, plain.work_insts, "case {case} {class}: work");
+            assert_eq!(r.accesses, plain.accesses, "case {case} {class}: accesses");
+            assert_eq!(r.writes, plain.writes, "case {case} {class}: writes");
+            assert_eq!(r.switches, plain.switches, "case {case} {class}: switches");
+            assert_eq!(r.doorbells, plain.doorbells, "case {case} {class}: doorbells");
+            assert_eq!(r.lfb_max, plain.lfb_max, "case {case} {class}: lfb max");
+            assert_eq!(r.device_path_max, plain.device_path_max, "case {case} {class}: uncore max");
+            assert_eq!(r.faults, plain.faults, "case {case} {class}: fault counters");
+        }
     });
 
     // The canonical scenarios run through the same check against their
