@@ -143,8 +143,14 @@ use kus_workloads::{
     BloomConfig, BloomService, MemcachedConfig, MemcachedService, Microbench, MicrobenchConfig,
 };
 
+/// The value after `flag`, or `None` when the flag is absent. A flag given
+/// last, or followed by another `--flag`, exits 2: it has no value.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Some(v.clone()),
+        _ => fail(format!("{flag} needs a value")),
+    }
 }
 
 fn fail(msg: String) -> ! {
@@ -301,7 +307,7 @@ fn quality(args: &[String], com: &Common) -> Quality {
     if let Some(path) = flag_value(args, "--faults") {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(format!("--faults: cannot read {path}: {e}")));
-        q.faults = FaultPlan::parse_toml(&text)
+        q.faults = kus_scenario::fault::parse_plan(&text)
             .unwrap_or_else(|e| fail(format!("--faults: invalid plan in {path}: {e}")));
     }
     q.seed = com.seed.or(q.seed);

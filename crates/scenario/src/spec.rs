@@ -1050,10 +1050,10 @@ fn parse_retry(t: &Table) -> Result<RetryPolicy, ScenarioError> {
     Ok(policy)
 }
 
-/// Parses a [`FaultPlan`] from a table using the same `_ns`-suffixed key
-/// names as [`FaultPlan::parse_toml`]. Also used for `[[matrix.plans]]`
-/// entries, where the keys sit next to the plan `name`.
-fn parse_faults(t: &Table, section: &str) -> Result<FaultPlan, ScenarioError> {
+/// Parses a [`FaultPlan`] from a table with `_ns`-suffixed span keys: the
+/// `[faults]` section, and the root of a standalone plan file
+/// ([`parse_plan`](crate::fault::parse_plan)).
+pub(crate) fn parse_faults(t: &Table, section: &str) -> Result<FaultPlan, ScenarioError> {
     let mut r = Reader::new(t, section);
     let plan = parse_faults_fields(&mut r)?;
     r.finish()?;

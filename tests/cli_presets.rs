@@ -150,3 +150,26 @@ fn overload_faults_flag_reaches_the_matrix_cells() {
     assert_eq!(retry.len(), 2);
     assert_eq!(retry, pinned_retry, "the retry pair runs its own fixed plan");
 }
+
+/// A value flag given last, or followed by another `--flag`, exits 2 with
+/// `<flag> needs a value`: it neither takes the next flag as its value
+/// (writing the JSON to a file named `--csv`) nor is silently dropped.
+#[test]
+fn value_flag_without_a_value_exits_2() {
+    let dir = temp_dir("missing-value");
+    let sweep = ["sweep", "--mech", "swq", "--lat", "1us", "--fibers", "1"];
+    for tail in [&["--json", "--csv", "out.csv"][..], &["--json"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .current_dir(&dir)
+            .args(sweep)
+            .args(tail)
+            .output()
+            .expect("figures runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tail:?}: {stderr}");
+        assert!(stderr.lines().any(|l| l == "--json needs a value"), "{tail:?}: {stderr}");
+        assert!(!dir.join("--csv").exists(), "{tail:?}: the JSON went to a file named --csv");
+        assert!(!dir.join("out.csv").exists(), "{tail:?}: the run went ahead");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
