@@ -47,8 +47,55 @@ enum BufDep {
 
 struct BufOp {
     kind: OpKind,
-    deps: Vec<BufDep>,
+    /// How many entries of [`EmitBuf::deps`] this op owns, after those of
+    /// the ops buffered before it.
+    deps: usize,
     on_complete: Option<EventFn>,
+}
+
+/// The ops a fiber buffers during one poll, emitted into the core in
+/// program order by [`ExecInner::flush`]. All dependences sit in one flat
+/// vector, and every vector keeps its capacity from poll to poll, so
+/// buffering and flushing allocate nothing per op.
+#[derive(Default)]
+struct EmitBuf {
+    ops: Vec<BufOp>,
+    deps: Vec<BufDep>,
+    /// ROB slots the buffered ops will occupy.
+    slots: u32,
+    /// Core op id of each flushed op, by buffer index.
+    real: Vec<OpId>,
+    /// One op's dependences, resolved to core op ids.
+    resolved: Vec<OpId>,
+}
+
+impl EmitBuf {
+    fn push(&mut self, kind: OpKind, deps: impl IntoIterator<Item = BufDep>, on_complete: Option<EventFn>) -> BufDep {
+        let before = self.deps.len();
+        self.deps.extend(deps);
+        self.slots += kind.slots();
+        self.ops.push(BufOp { kind, deps: self.deps.len() - before, on_complete });
+        BufDep::Buffered(self.ops.len() - 1)
+    }
+
+    /// Emits the buffered ops into `core` in program order, resolving
+    /// intra-batch dependences; afterwards `real[i]` is buffered op `i`'s id.
+    fn emit_into(&mut self, core: &Rc<RefCell<Core>>, sim: &mut Sim) {
+        self.real.clear();
+        let mut deps = self.deps.iter();
+        for b in self.ops.drain(..) {
+            self.resolved.clear();
+            for d in deps.by_ref().take(b.deps) {
+                self.resolved.push(match *d {
+                    BufDep::Buffered(i) => self.real[i],
+                    BufDep::Real(r) => r,
+                });
+            }
+            self.real.push(Core::emit_after(core, sim, b.kind, &self.resolved, b.on_complete));
+        }
+        self.deps.clear();
+        self.slots = 0;
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,8 +235,7 @@ pub(crate) struct ExecInner {
     fibers: Vec<FiberBook>,
     current: Option<FiberId>,
     switch_cost: Span,
-    emit_buf: Vec<BufOp>,
-    buffered_slots: u32,
+    emit: EmitBuf,
     step_pending: bool,
     switching: bool,
     hook_armed: bool,
@@ -251,8 +297,7 @@ impl Executor {
                 fibers: Vec::new(),
                 current: None,
                 switch_cost,
-                emit_buf: Vec::new(),
-                buffered_slots: 0,
+                emit: EmitBuf::default(),
                 step_pending: false,
                 switching: false,
                 hook_armed: false,
@@ -398,19 +443,6 @@ impl Executor {
     }
 }
 
-fn trace_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("KUS_TRACE_EXEC").is_ok())
-}
-
-macro_rules! etrace {
-    ($sim:expr, $($arg:tt)*) => {
-        if trace_on() {
-            eprintln!("[exec {}] {}", $sim.now(), format!($($arg)*));
-        }
-    };
-}
-
 impl ExecInner {
     fn kick(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim) {
         {
@@ -436,7 +468,6 @@ impl ExecInner {
             }
             let wants = x.core.borrow().wants_more();
             if !wants {
-                etrace!(sim, "step: frontend full (hook_armed={})", x.hook_armed);
                 if !x.hook_armed {
                     x.hook_armed = true;
                     let core = x.core.clone();
@@ -458,12 +489,10 @@ impl ExecInner {
             let current = x.current;
             match x.policy.pick_next(current) {
                 Some(n) => {
-                    etrace!(sim, "step: pick fiber {n} (current {current:?})");
                     x.idle = false;
                     Some(n)
                 }
                 None => {
-                    etrace!(sim, "step: idle (current {current:?})");
                     x.idle = true;
                     None
                 }
@@ -507,7 +536,6 @@ impl ExecInner {
             match x.fibers[next].state {
                 FiberState::Ready => true,
                 FiberState::Blocked => {
-                    etrace!(sim, "park on fiber {next}");
                     x.current = Some(next);
                     x.parked_on = Some(next);
                     x.park_since = Some(sim.now());
@@ -522,7 +550,6 @@ impl ExecInner {
     }
 
     fn on_frontend_ready(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim) {
-        etrace!(sim, "frontend ready");
         let resume = {
             let mut x = this.borrow_mut();
             x.hook_armed = false;
@@ -578,7 +605,6 @@ impl ExecInner {
                 false
             }
         };
-        etrace!(sim, "wake fiber {id} fast={fast}");
         if fast {
             ExecInner::poll_fiber(this, sim, id);
         } else {
@@ -589,13 +615,12 @@ impl ExecInner {
     fn poll_fiber(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim, id: FiberId) {
         let mut fiber = {
             let mut x = this.borrow_mut();
-            debug_assert!(x.emit_buf.is_empty(), "emit buffer not flushed");
+            debug_assert!(x.emit.ops.is_empty(), "emit buffer not flushed");
             x.current = Some(id);
             x.fibers[id].state = FiberState::Running;
             x.fibers[id].fiber.take().expect("fiber absent while polling")
         };
         let outcome = fiber.poll();
-        etrace!(sim, "poll fiber {id} -> {outcome:?}");
         {
             let mut x = this.borrow_mut();
             x.fibers[id].fiber = Some(fiber);
@@ -626,33 +651,25 @@ impl ExecInner {
     /// Flushes the polled fiber's buffered ops into the core in program
     /// order, resolving intra-batch dependencies.
     fn flush(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim, id: FiberId) {
-        let (core, ops) = {
+        let (core, mut buf) = {
             let mut x = this.borrow_mut();
-            x.buffered_slots = 0;
-            (x.core.clone(), std::mem::take(&mut x.emit_buf))
-        };
-        if ops.is_empty() {
-            return;
-        }
-        let mut real: Vec<OpId> = Vec::with_capacity(ops.len());
-        for b in ops {
-            let mut op = Op { kind: b.kind, deps: Vec::new(), on_complete: b.on_complete, profile: None };
-            for d in b.deps {
-                op.deps.push(match d {
-                    BufDep::Buffered(i) => real[i],
-                    BufDep::Real(r) => r,
-                });
+            if x.emit.ops.is_empty() {
+                return;
             }
-            real.push(Core::emit(&core, sim, op));
-        }
+            (x.core.clone(), std::mem::take(&mut x.emit))
+        };
+        buf.emit_into(&core, sim);
         // Rewrite the fiber's dependence state onto real op ids.
         let mut x = this.borrow_mut();
         let book = &mut x.fibers[id];
         for d in book.last_reads.iter_mut().chain(book.last_serial.iter_mut()) {
             if let BufDep::Buffered(i) = *d {
-                *d = BufDep::Real(real[i]);
+                *d = BufDep::Real(buf.real[i]);
             }
         }
+        // Emitting runs no fiber, so nothing was buffered meanwhile.
+        debug_assert!(x.emit.ops.is_empty());
+        x.emit = buf;
     }
 
     fn on_swq_completion(this: &Rc<RefCell<ExecInner>>, sim: &mut Sim, tag: u64) {
@@ -846,12 +863,8 @@ impl MemCtx {
         self.exec.borrow().mechanism
     }
 
-    fn buffer(&self, kind: OpKind, deps: Vec<BufDep>, on_complete: Option<EventFn>) -> BufDep {
-        let mut x = self.exec.borrow_mut();
-        let idx = x.emit_buf.len();
-        x.buffered_slots += kind.slots();
-        x.emit_buf.push(BufOp { kind, deps, on_complete });
-        BufDep::Buffered(idx)
+    fn buffer(&self, kind: OpKind, deps: impl IntoIterator<Item = BufDep>, on_complete: Option<EventFn>) -> BufDep {
+        self.exec.borrow_mut().emit.push(kind, deps, on_complete)
     }
 
     /// Emits `insts` work instructions, dependent on the values of the most
@@ -861,23 +874,17 @@ impl MemCtx {
         if insts == 0 {
             return;
         }
-        let (mut deps, serial) = {
-            let mut x = self.exec.borrow_mut();
-            let book = &mut x.fibers[self.fiber];
-            (std::mem::take(&mut book.last_reads), book.last_serial)
-        };
-        if let Some(s) = serial {
-            deps.push(s);
-        }
+        let x = &mut *self.exec.borrow_mut();
+        let book = &mut x.fibers[self.fiber];
         let mut prev: Option<BufDep> = None;
         for n in kus_cpu::work_chunks(insts, 32) {
-            let d = match prev {
-                None => deps.clone(),
-                Some(p) => vec![p],
-            };
-            prev = Some(self.buffer(OpKind::Work { insts: n }, d, None));
+            let kind = OpKind::Work { insts: n };
+            prev = Some(match prev {
+                None => x.emit.push(kind, book.last_reads.drain(..).chain(book.last_serial), None),
+                Some(p) => x.emit.push(kind, [p], None),
+            });
         }
-        self.exec.borrow_mut().fibers[self.fiber].last_serial = prev;
+        book.last_serial = prev;
     }
 
     /// Current simulated time, read from the clock mirror the executor
@@ -907,7 +914,7 @@ impl MemCtx {
             // it, and its completion hook is the only place with a `&mut
             // Sim` to schedule the actual wake event.
             OpKind::SoftWork { span: Span::from_ps(1) },
-            serial.into_iter().collect(),
+            serial,
             Some(Box::new(move |sim: &mut Sim| {
                 let wake = move |sim: &mut Sim| {
                     slot.set(sim.now().as_ps());
@@ -966,7 +973,7 @@ impl MemCtx {
         let serial = self.exec.borrow().fibers[self.fiber].last_serial;
         let dep = self.buffer(
             OpKind::SoftWork { span },
-            serial.into_iter().collect(),
+            serial,
             None,
         );
         self.exec.borrow_mut().fibers[self.fiber].last_serial = Some(dep);
@@ -1004,7 +1011,7 @@ impl MemCtx {
                 x.tracer.instant(Category::Exec, "load.issue", x.track, addr.line().index(), self.fiber as u64);
             }
         }
-        let d = self.buffer(OpKind::Load { line: addr.line() }, Vec::new(), None);
+        let d = self.buffer(OpKind::Load { line: addr.line() }, None, None);
         self.exec.borrow_mut().fibers[self.fiber].last_reads.push(d);
     }
 
@@ -1032,21 +1039,16 @@ impl MemCtx {
     /// that software-queue writes forfeit hardware cache coherence and
     /// remain an open programmability problem, so they are not modelled.
     pub fn dev_write_u64(&self, addr: Addr, v: u64) {
-        let deps = {
-            let mut x = self.exec.borrow_mut();
-            assert!(
-                x.mechanism != Mechanism::SoftwareQueue,
-                "software-queue writes are not modelled (paper §V-C)"
-            );
-            x.writes.incr();
-            // Program-order contents update; timing is tracked by the op.
-            x.dataset.borrow_mut().write_u64(addr, v);
-            let book = &x.fibers[self.fiber];
-            let mut deps = book.last_reads.clone();
-            deps.extend(book.last_serial);
-            deps
-        };
-        self.buffer(OpKind::Store { line: addr.line() }, deps, None);
+        let x = &mut *self.exec.borrow_mut();
+        assert!(
+            x.mechanism != Mechanism::SoftwareQueue,
+            "software-queue writes are not modelled (paper §V-C)"
+        );
+        x.writes.incr();
+        // Program-order contents update; timing is tracked by the op.
+        x.dataset.borrow_mut().write_u64(addr, v);
+        let book = &x.fibers[self.fiber];
+        x.emit.push(OpKind::Store { line: addr.line() }, book.last_reads.iter().copied().chain(book.last_serial), None);
     }
 
     /// Reads another word of a line a preceding `dev_read` already brought
@@ -1057,7 +1059,7 @@ impl MemCtx {
     /// available to the program immediately; the dependent-work chain is
     /// extended through [`work`](Self::work).
     pub fn l1_read_u64(&self, addr: Addr) -> u64 {
-        let d = self.buffer(OpKind::Load { line: addr.line() }, Vec::new(), None);
+        let d = self.buffer(OpKind::Load { line: addr.line() }, None, None);
         let mut x = self.exec.borrow_mut();
         if x.tracer.emits(Class::Deep) {
             x.tracer.instant(Category::Exec, "l1.read", x.track, addr.line().index(), self.fiber as u64);
@@ -1118,7 +1120,7 @@ impl MemCtx {
             }
             Mechanism::Prefetch => {
                 for &a in addrs {
-                    self.buffer(OpKind::Prefetch { line: a.line() }, Vec::new(), None);
+                    self.buffer(OpKind::Prefetch { line: a.line() }, None, None);
                 }
                 yield_now(&self.yield_flag).await;
                 let mut out = Vec::with_capacity(addrs.len());
@@ -1151,7 +1153,7 @@ impl MemCtx {
         let fiber = self.fiber;
         let d = self.buffer(
             OpKind::Load { line: addr.line() },
-            Vec::new(),
+            None,
             Some(Box::new(move |sim: &mut Sim| {
                 let value = {
                     let x = exec.borrow();
@@ -1183,7 +1185,7 @@ impl MemCtx {
             hit
         };
         if in_l1 {
-            let d = self.buffer(OpKind::Load { line: addr.line() }, Vec::new(), None);
+            let d = self.buffer(OpKind::Load { line: addr.line() }, None, None);
             let mut x = self.exec.borrow_mut();
             x.fibers[self.fiber].last_reads.push(d);
             if let Some(c) = causal {
@@ -1220,7 +1222,7 @@ impl MemCtx {
         let exec = self.exec.clone();
         let dep = self.buffer(
             OpKind::SoftWork { span: enqueue_cost },
-            serial.into_iter().collect(),
+            serial,
             Some(Box::new(move |sim: &mut Sim| {
                 let (qp, ring_doorbell, core, arm_check, tracer, track) = {
                     let mut x = exec.borrow_mut();
@@ -1286,7 +1288,7 @@ impl Future for FrontendFuture {
             (more, low_water)
         };
         let (wants, low_water) = queued;
-        if wants && x.buffered_slots < low_water {
+        if wants && x.emit.slots < low_water {
             std::task::Poll::Ready(())
         } else {
             let fiber = self.fiber;

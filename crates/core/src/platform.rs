@@ -210,13 +210,9 @@ impl Platform {
 
             if cfg.mechanism != Mechanism::SoftwareQueue {
                 let mmio = MmioDevice::new(dc.clone(), l.clone());
-                let dbg = std::env::var("KUS_TRACE_FILLS").is_ok();
                 let hist = fill_latency.clone();
                 device_fill = Some(Rc::new(move |sim: &mut Sim, core, line, done| {
                     let t_issue = sim.now();
-                    if dbg {
-                        eprintln!("[fill] issue t={} core={core} {line}", t_issue);
-                    }
                     let hist = hist.clone();
                     MmioDevice::read_line(
                         &mmio,
@@ -225,13 +221,6 @@ impl Platform {
                         line,
                         Box::new(move |sim, _data| {
                             hist.borrow_mut().record(sim.now() - t_issue);
-                            if dbg {
-                                eprintln!(
-                                    "[fill] done  t={} core={core} {line} (took {})",
-                                    sim.now(),
-                                    sim.now() - t_issue
-                                );
-                            }
                             done(sim)
                         }),
                     );

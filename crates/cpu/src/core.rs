@@ -20,7 +20,6 @@
 //! DRAM model and calls back when data returns.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -87,15 +86,94 @@ impl Default for CoreConfig {
 struct OpState {
     kind: OpKind,
     on_complete: Option<EventFn>,
-    pending_deps: usize,
-    dependents: Vec<OpId>,
-    dispatched: bool,
-    done: bool,
-    counted: bool,
     profile: Option<&'static str>,
+    pending_deps: u32,
+    dependents: EdgeList,
+    done: bool,
+}
+
+/// End-of-list marker in the [`Edges`] store.
+const NO_EDGE: u32 = u32::MAX;
+
+/// One op's dependents: a FIFO list threaded through the core's [`Edges`].
+#[derive(Clone, Copy)]
+struct EdgeList {
+    head: u32,
+    tail: u32,
+}
+
+impl Default for EdgeList {
+    fn default() -> EdgeList {
+        EdgeList { head: NO_EDGE, tail: NO_EDGE }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Edge {
+    to: OpId,
+    next: u32,
+}
+
+/// The dependence edges of a core's live ops, in one free-listed vector.
+///
+/// A released edge is reused by the next push, so the store grows only to
+/// the peak number of unresolved edges (at most the live ops' dependence
+/// count) and nothing is allocated per op after that. Lists pop in push
+/// order: dependents start executing in the order they were emitted, which
+/// fixes the order of the events they schedule.
+struct Edges {
+    slots: Vec<Edge>,
+    free: u32,
+}
+
+impl Edges {
+    fn new() -> Edges {
+        Edges { slots: Vec::new(), free: NO_EDGE }
+    }
+
+    fn push(&mut self, list: &mut EdgeList, to: OpId) {
+        let edge = Edge { to, next: NO_EDGE };
+        let i = if self.free == NO_EDGE {
+            self.slots.push(edge);
+            u32::try_from(self.slots.len() - 1).expect("edge store exceeds u32 slots")
+        } else {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = edge;
+            i
+        };
+        if list.tail == NO_EDGE {
+            list.head = i;
+        } else {
+            self.slots[list.tail as usize].next = i;
+        }
+        list.tail = i;
+    }
+
+    /// Removes and returns the oldest edge's target, releasing its slot.
+    fn pop(&mut self, list: &mut EdgeList) -> Option<OpId> {
+        if list.head == NO_EDGE {
+            return None;
+        }
+        let i = list.head;
+        let Edge { to, next } = self.slots[i as usize];
+        list.head = next;
+        if next == NO_EDGE {
+            list.tail = NO_EDGE;
+        }
+        self.slots[i as usize].next = self.free;
+        self.free = i;
+        Some(to)
+    }
 }
 
 /// One modelled core.
+///
+/// Ops get ids in emission order and retire in that order, so the live ops
+/// are always the contiguous range `base..base + ops.len()`, held in `ops`
+/// at index `id - base`. The window's head `base..dispatched` is the ROB;
+/// its tail `dispatched..` is the dispatch queue. An id below `base` is a
+/// retired op, so a dependence on it is already satisfied.
 pub struct Core {
     id: usize,
     config: CoreConfig,
@@ -104,11 +182,13 @@ pub struct Core {
     credits: Rc<RefCell<CreditQueue>>,
     fill: FillPath,
     store_path: Option<StorePath>,
-    next_op: OpId,
-    states: HashMap<OpId, OpState>,
-    dispatch_q: VecDeque<OpId>,
+    ops: VecDeque<OpState>,
+    base: OpId,
+    dispatched: OpId,
+    edges: Edges,
+    /// Reused by `complete_op` for the dependents it makes ready.
+    ready: Vec<OpId>,
     queued_slots: u32,
-    rob: VecDeque<OpId>,
     rob_used: u32,
     frontend_free: Time,
     /// Runtime software (queue management, MMIO sequences) is a serial
@@ -141,7 +221,7 @@ impl std::fmt::Debug for Core {
         f.debug_struct("Core")
             .field("id", &self.id)
             .field("rob_used", &self.rob_used)
-            .field("queued", &self.dispatch_q.len())
+            .field("queued", &self.queued())
             .field("retired_ops", &self.retired_ops.get())
             .finish()
     }
@@ -178,11 +258,12 @@ impl Core {
             credits,
             fill,
             store_path: None,
-            next_op: 0,
-            states: HashMap::new(),
-            dispatch_q: VecDeque::new(),
+            ops: VecDeque::new(),
+            base: 0,
+            dispatched: 0,
+            edges: Edges::new(),
+            ready: Vec::new(),
             queued_slots: 0,
-            rob: VecDeque::new(),
             rob_used: 0,
             frontend_free: Time::ZERO,
             soft_busy_until: Time::ZERO,
@@ -243,7 +324,21 @@ impl Core {
 
     /// Ops currently anywhere in the pipeline (queued or in the ROB).
     pub fn in_flight(&self) -> usize {
-        self.states.len()
+        self.ops.len()
+    }
+
+    /// Ops emitted but not yet dispatched into the ROB.
+    fn queued(&self) -> usize {
+        self.ops.len() - (self.dispatched - self.base) as usize
+    }
+
+    /// The live op `id`.
+    fn op(&self, id: OpId) -> &OpState {
+        &self.ops[(id - self.base) as usize]
+    }
+
+    fn op_mut(&mut self, id: OpId) -> &mut OpState {
+        &mut self.ops[(id - self.base) as usize]
     }
 
     /// A multi-line diagnostic snapshot of the pipeline (stall debugging).
@@ -256,23 +351,23 @@ impl Core {
             self.id,
             self.rob_used,
             self.queued_slots,
-            self.dispatch_q.len(),
+            self.queued(),
             self.lfb.borrow().in_use(),
             self.lfb.borrow().capacity(),
             self.lfb.borrow().waiting(),
             self.credits.borrow(),
         );
-        for (i, id) in self.rob.iter().take(5).enumerate() {
-            let st = &self.states[id];
+        for (i, id) in (self.base..self.dispatched).take(5).enumerate() {
+            let st = self.op(id);
             let _ = writeln!(
                 out,
-                "  rob[{i}] op{} {:?} dispatched={} done={} pending_deps={}",
-                id, st.kind, st.dispatched, st.done, st.pending_deps
+                "  rob[{i}] op{} {:?} dispatched=true done={} pending_deps={}",
+                id, st.kind, st.done, st.pending_deps
             );
         }
-        if let Some(front) = self.dispatch_q.front() {
-            let st = &self.states[front];
-            let _ = writeln!(out, "  dispatch_q front: op{} {:?} slots={}", front, st.kind, st.kind.slots());
+        if self.queued() > 0 {
+            let st = self.op(self.dispatched);
+            let _ = writeln!(out, "  dispatch_q front: op{} {:?} slots={}", self.dispatched, st.kind, st.kind.slots());
         }
         out
     }
@@ -313,41 +408,63 @@ impl Core {
     /// Panics if a dependence edge points at this op or a future op, or if
     /// the op alone exceeds the ROB.
     pub fn emit(this: &Rc<RefCell<Core>>, sim: &mut Sim, op: Op) -> OpId {
-        let id = {
-            let mut c = this.borrow_mut();
-            let id = c.next_op;
-            c.next_op += 1;
-            let slots = op.kind.slots();
-            assert!(slots <= c.config.rob_slots, "op of {slots} slots exceeds the ROB");
-            let mut pending = 0;
-            for &d in &op.deps {
-                assert!(d < id, "dependence on future op {d}");
-                if let Some(ds) = c.states.get_mut(&d) {
-                    if !ds.done {
-                        ds.dependents.push(id);
-                        pending += 1;
-                    }
-                }
-                // A dep absent from `states` has already retired: satisfied.
-            }
-            c.states.insert(
-                id,
-                OpState {
-                    kind: op.kind,
-                    on_complete: op.on_complete,
-                    pending_deps: pending,
-                    dependents: Vec::new(),
-                    dispatched: false,
-                    done: false,
-                    counted: false,
-                    profile: op.profile,
-                },
-            );
-            c.dispatch_q.push_back(id);
-            c.queued_slots += slots;
-            id
-        };
+        let id = this.borrow_mut().enqueue(op.kind, &op.deps, op.on_complete, op.profile);
         Core::pump(this, sim);
+        id
+    }
+
+    /// Emits an op of `kind` depending on `deps`, like [`Core::emit`] but
+    /// without building an [`Op`]: emitters that keep their own dependence
+    /// buffers hand them over without allocating.
+    ///
+    /// # Panics
+    ///
+    /// As [`Core::emit`].
+    pub fn emit_after(
+        this: &Rc<RefCell<Core>>,
+        sim: &mut Sim,
+        kind: OpKind,
+        deps: &[OpId],
+        on_complete: Option<EventFn>,
+    ) -> OpId {
+        let id = this.borrow_mut().enqueue(kind, deps, on_complete, None);
+        Core::pump(this, sim);
+        id
+    }
+
+    /// Appends an op to the window's dispatch queue, linking it behind each
+    /// dependence that has not completed yet.
+    fn enqueue(
+        &mut self,
+        kind: OpKind,
+        deps: &[OpId],
+        on_complete: Option<EventFn>,
+        profile: Option<&'static str>,
+    ) -> OpId {
+        let id = self.base + self.ops.len() as OpId;
+        let slots = kind.slots();
+        assert!(slots <= self.config.rob_slots, "op of {slots} slots exceeds the ROB");
+        let mut pending = 0;
+        for &d in deps {
+            assert!(d < id, "dependence on future op {d}");
+            // Below `base` the op has retired: the dependence is satisfied.
+            if d >= self.base {
+                let ds = &mut self.ops[(d - self.base) as usize];
+                if !ds.done {
+                    self.edges.push(&mut ds.dependents, id);
+                    pending += 1;
+                }
+            }
+        }
+        self.ops.push_back(OpState {
+            kind,
+            on_complete,
+            profile,
+            pending_deps: pending,
+            dependents: EdgeList::default(),
+            done: false,
+        });
+        self.queued_slots += slots;
         id
     }
 
@@ -363,12 +480,11 @@ impl Core {
         const CHUNK: u32 = 32;
         let mut prev: Option<OpId> = None;
         for n in crate::ops::work_chunks(insts, CHUNK) {
-            let mut op = Op::new(OpKind::Work { insts: n });
-            match prev {
-                None => op = op.after(deps.iter().copied()),
-                Some(p) => op = op.after([p]),
-            }
-            prev = Some(Core::emit(this, sim, op));
+            let after = match &prev {
+                None => deps,
+                Some(p) => std::slice::from_ref(p),
+            };
+            prev = Some(Core::emit_after(this, sim, OpKind::Work { insts: n }, after, None));
         }
         prev
     }
@@ -377,7 +493,9 @@ impl Core {
         loop {
             let ready = {
                 let mut c = this.borrow_mut();
-                let Some(&front) = c.dispatch_q.front() else { break };
+                if c.queued() == 0 {
+                    break;
+                }
                 let now = sim.now();
                 if c.frontend_free > now {
                     if !c.pump_scheduled {
@@ -390,19 +508,17 @@ impl Core {
                     }
                     break;
                 }
-                let slots = c.states[&front].kind.slots();
+                let id = c.dispatched;
+                let slots = c.op(id).kind.slots();
                 if c.rob_used + slots > c.config.rob_slots {
                     break; // retirement will re-pump
                 }
-                c.dispatch_q.pop_front();
+                c.dispatched += 1;
                 c.queued_slots -= slots;
-                c.rob.push_back(front);
                 c.rob_used += slots;
                 let dispatch_cost = c.config.clock.work(slots as u64, c.config.dispatch_width as f64);
                 c.frontend_free = now.max(c.frontend_free) + dispatch_cost;
-                let st = c.states.get_mut(&front).expect("state exists while queued");
-                st.dispatched = true;
-                (st.pending_deps == 0).then_some(front)
+                (c.op(id).pending_deps == 0).then_some(id)
             };
             if let Some(id) = ready {
                 Core::begin_execute(this, sim, id);
@@ -412,21 +528,18 @@ impl Core {
     }
 
     fn begin_execute(this: &Rc<RefCell<Core>>, sim: &mut Sim, id: OpId) {
-        let kind = {
+        let (kind, profile) = {
             let mut c = this.borrow_mut();
-            let st = c.states.get_mut(&id).expect("executing unknown op");
-            debug_assert!(st.dispatched && st.pending_deps == 0 && !st.done);
-            let kind = st.kind;
-            if !st.counted {
-                st.counted = true;
-                match kind {
-                    OpKind::Load { .. } => c.loads.incr(),
-                    OpKind::Store { .. } => c.stores.incr(),
-                    OpKind::Prefetch { .. } => c.prefetches.incr(),
-                    _ => {}
-                }
+            let st = c.op(id);
+            debug_assert!(id < c.dispatched && st.pending_deps == 0 && !st.done);
+            let (kind, profile) = (st.kind, st.profile);
+            match kind {
+                OpKind::Load { .. } => c.loads.incr(),
+                OpKind::Store { .. } => c.stores.incr(),
+                OpKind::Prefetch { .. } => c.prefetches.incr(),
+                _ => {}
             }
-            kind
+            (kind, profile)
         };
         match kind {
             OpKind::Work { insts } => {
@@ -459,7 +572,7 @@ impl Core {
                     {
                         let c = this2.borrow();
                         if c.tracer.emits(Class::Profile) {
-                            let name = c.states.get(&id).and_then(|st| st.profile).unwrap_or("cpu.soft");
+                            let name = profile.unwrap_or("cpu.soft");
                             c.tracer.complete_since(Category::Cpu, name, c.id as u32, start, 0);
                         }
                     }
@@ -612,18 +725,18 @@ impl Core {
     }
 
     fn complete_op(this: &Rc<RefCell<Core>>, sim: &mut Sim, id: OpId) {
-        let (hook, ready_dependents) = {
-            let mut c = this.borrow_mut();
-            let st = c.states.get_mut(&id).expect("completing unknown op");
+        let (hook, mut ready) = {
+            let c = &mut *this.borrow_mut();
+            let st = c.op_mut(id);
             debug_assert!(!st.done, "op {id} completed twice");
             st.done = true;
             let hook = st.on_complete.take();
-            let dependents = std::mem::take(&mut st.dependents);
-            let mut ready = Vec::new();
-            for d in dependents {
-                let ds = c.states.get_mut(&d).expect("dependent vanished");
+            let mut dependents = std::mem::take(&mut st.dependents);
+            let mut ready = std::mem::take(&mut c.ready);
+            while let Some(d) = c.edges.pop(&mut dependents) {
+                let ds = &mut c.ops[(d - c.base) as usize];
                 ds.pending_deps -= 1;
-                if ds.pending_deps == 0 && ds.dispatched {
+                if ds.pending_deps == 0 && d < c.dispatched {
                     ready.push(d);
                 }
             }
@@ -632,9 +745,11 @@ impl Core {
         if let Some(h) = hook {
             h(sim);
         }
-        for d in ready_dependents {
+        for &d in &ready {
             Core::begin_execute(this, sim, d);
         }
+        ready.clear();
+        this.borrow_mut().ready = ready;
         Core::try_retire(this, sim);
     }
 
@@ -642,12 +757,9 @@ impl Core {
         let retired_any = {
             let mut c = this.borrow_mut();
             let mut any = false;
-            while let Some(&front) = c.rob.front() {
-                if !c.states[&front].done {
-                    break;
-                }
-                c.rob.pop_front();
-                let st = c.states.remove(&front).expect("retiring unknown op");
+            while c.ops.front().is_some_and(|st| st.done) {
+                let st = c.ops.pop_front().expect("front exists");
+                c.base += 1;
                 c.rob_used -= st.kind.slots();
                 c.retired_ops.incr();
                 if let OpKind::Work { insts } = st.kind {
